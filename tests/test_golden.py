@@ -1,0 +1,237 @@
+"""Golden outputs: CLI bytes and grade outcomes pinned by SHA-256 digest.
+
+``golden_digests.json`` holds one digest per case. A CLI case digests the
+exit code, stdout, stderr and every file the command wrote; a grade case
+digests a canonical projection of ``assign_grade`` results (or the error
+type and message) over a slice of seeded random corpora. Refactors must
+reproduce every digest. After a deliberate output change, regenerate the
+file with ``PYTHONPATH=src python tests/test_golden.py`` and review why each
+changed digest changed.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import random
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from conftest import FIXTURES
+from gen import random_corpus
+from grasp.cli import main
+from grasp.engine import AppraisalPolicy, PolicyOverrides, assign_grade
+from grasp.errors import GraspError
+
+DIGESTS = Path(__file__).resolve().parent / "golden_digests.json"
+
+_FILES = {
+    "{corpus}": FIXTURES / "grasp8.json",
+    "{r1}": FIXTURES / "raters" / "r1.csv",
+    "{r2}": FIXTURES / "raters" / "r2.csv",
+    "{authors}": FIXTURES / "raters" / "authors.csv",
+    "{survey}": FIXTURES / "survey.csv",
+}
+_TOOLS = ("centor", "chalice", "dietrich", "lace", "manuck", "ottawa-knee", "pecarn", "taylor")
+_LAYOUTS = ("table4", "table3", "structured")
+_FORMATS = ("text", "structured")
+
+
+def _cli_cases() -> list[str]:
+    """Argument lists with placeholders for the fixture paths; each is its own name."""
+    cases = []
+    for fmt in _FORMATS:
+        cases.append(f"grade {{corpus}} --format {fmt}")
+        cases.append(f"grade {{corpus}} --format {fmt} --tool dietrich")
+        for layout in _LAYOUTS:
+            cases.append(f"grade {{corpus}} --format {fmt} --layout {layout} --report {{out}}")
+    cases += [
+        "grade {corpus} --tool nope",
+        "grade {corpus} --matching-rule ignore_missing --quality-rule majority_of_flags",
+        "grade {corpus} --tie-fallback fail_with_review_flag --report {out}",
+        "report {corpus} --tool nope",
+        "report {corpus} --reference-year 2030 --tool lace",
+        "report {corpus} --summary --out {out}",
+    ]
+    for layout in _LAYOUTS:
+        cases.append(f"report {{corpus}} --layout {layout}")
+        cases.append(f"report {{corpus}} --layout {layout} --out {{out}}")
+        cases.append(f"report {{corpus}} --layout {layout} --summary")
+        for tool in _TOOLS:
+            cases.append(f"report {{corpus}} --layout {layout} --tool {tool}")
+            cases.append(f"report {{corpus}} --layout {layout} --tool {tool} --summary")
+    for fmt in _FORMATS:
+        for a, b in (("{r1}", "{authors}"), ("{r2}", "{authors}"), ("{r1}", "{r2}")):
+            cases.append(f"raters {a} {b} --format {fmt}")
+        cases.append(f"survey {{survey}} --format {fmt}")
+    for strictness in ("--strict", "--lenient"):
+        cases.append(f"validate {{corpus}} {strictness}")
+        cases.append(f"validate {{broken}} {strictness}")
+        cases.append(f"grade {{broken}} {strictness}")
+    return cases
+
+
+def _broken_corpus() -> bytes:
+    """The fixture with several cross-check faults at once.
+
+    lace is listed twice (duplicate id, and every per-tool check runs for
+    both copies), one lace external validation carries the wrong level,
+    centor declares one study too many, one study names a missing tool, and
+    an unknown field is present.
+    """
+    document = json.loads(_FILES["{corpus}"].read_text())
+    tools = document["tools"]
+    lace = next(t for t in tools if t["id"] == "lace")
+    tools.append(dict(lace))
+    next(t for t in tools if t["id"] == "centor")["studies_count"] += 1
+    next(s for s in document["studies"] if s["id"] == "lace-s3")["level"] = "C2"
+    document["studies"].append(dict(document["studies"][-1], id="ghost-s1", tool_id="ghost"))
+    document["studies"][0]["colour"] = "green"
+    return json.dumps(document, indent=2).encode()
+
+
+def run_cli(template: str, tmp: Path) -> dict:
+    broken = tmp / "broken.json"
+    broken.write_bytes(_broken_corpus())
+    out = tmp / "out"
+    paths = {**_FILES, "{broken}": broken, "{out}": out}
+    argv = [str(paths.get(token, token)) for token in template.split()]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    files = {
+        path.relative_to(tmp).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(tmp.rglob("*"))
+        if path.is_file() and path != broken
+    }
+    return {
+        "code": int(code),
+        "stdout": stdout.getvalue().replace(str(tmp), "<tmp>"),
+        "stderr": stderr.getvalue().replace(str(tmp), "<tmp>"),
+        "files": files,
+    }
+
+
+_SEEDS_PER_CHUNK = 20
+_GRADE_CHUNKS = tuple(range(10))
+
+
+def _strip_overrides(rng: random.Random, corpus):
+    """Drop the appraiser overrides of a random share of studies.
+
+    Without an override, matching falls back to the study's flags (and is
+    unresolvable without any) and quality to the policy's rule (and is
+    unresolvable under override_only).
+    """
+    def strip(study):
+        roll = rng.random()
+        if roll < 0.15:
+            return replace(study, matching_override=None)
+        if roll < 0.30:
+            return replace(study, quality_override=None)
+        return study
+    return replace(corpus, studies=tuple(strip(s) for s in corpus.studies))
+
+
+def _project(result) -> dict:
+    return {
+        "tool_id": result.tool_id,
+        "final_grade": result.final_grade.value,
+        "direction": result.direction.value,
+        "justification": result.justification,
+        "needs_review": result.needs_review,
+        "tool_label": result.tool_label,
+        "supporting": result.supporting_bucket.level.value if result.supporting_bucket else None,
+        "buckets": [
+            [
+                bucket.level.value,
+                bucket.direction.value,
+                bucket.needs_review,
+                [s.id for s in bucket.studies],
+                list(bucket.adjudication_trace),
+                [source.level.value for source in bucket.sources],
+            ]
+            for bucket in result.all_buckets
+        ],
+    }
+
+
+def grade_outcomes(seed: int) -> list[dict]:
+    rng = random.Random(seed)
+    corpus = _strip_overrides(rng, random_corpus(rng))
+    policy = (corpus.policy or PolicyOverrides()).apply(AppraisalPolicy())
+    outcomes = []
+    for tool in corpus.tools:
+        try:
+            outcomes.append(_project(assign_grade(tool, corpus.studies_for(tool.id), policy)))
+        except GraspError as exc:
+            outcomes.append({"tool_id": tool.id, "error": type(exc).__name__, "message": str(exc)})
+    return outcomes
+
+
+def _chunk_seeds(chunk: int) -> range:
+    return range(chunk * _SEEDS_PER_CHUNK, (chunk + 1) * _SEEDS_PER_CHUNK)
+
+
+def _digest(payload) -> str:
+    text = json.dumps(payload, sort_keys=True, ensure_ascii=False)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _grade_key(chunk: int) -> str:
+    seeds = _chunk_seeds(chunk)
+    return f"seeds {seeds.start}-{seeds.stop - 1}"
+
+
+def compute_digests() -> dict:
+    cli = {}
+    for case in _cli_cases():
+        with tempfile.TemporaryDirectory() as tmp:
+            cli[case] = _digest(run_cli(case, Path(tmp)))
+    grades = {
+        _grade_key(chunk): _digest([grade_outcomes(seed) for seed in _chunk_seeds(chunk)])
+        for chunk in _GRADE_CHUNKS
+    }
+    return {"cli": cli, "grades": grades}
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(DIGESTS.read_text())
+
+
+@pytest.mark.parametrize("case", _cli_cases())
+def test_cli_output_unchanged(case, golden, tmp_path):
+    assert _digest(run_cli(case, tmp_path)) == golden["cli"][case]
+
+
+@pytest.mark.parametrize("chunk", _GRADE_CHUNKS)
+def test_grade_outcomes_unchanged(chunk, golden):
+    outcomes = [grade_outcomes(seed) for seed in _chunk_seeds(chunk)]
+    assert _digest(outcomes) == golden["grades"][_grade_key(chunk)]
+
+
+def test_every_case_has_a_digest(golden):
+    assert sorted(golden["cli"]) == sorted(_cli_cases())
+    assert sorted(golden["grades"]) == sorted(_grade_key(c) for c in _GRADE_CHUNKS)
+
+
+def test_random_corpora_reach_every_grading_error():
+    errors = {
+        outcome.get("error")
+        for chunk in _GRADE_CHUNKS
+        for seed in _chunk_seeds(chunk)
+        for outcome in grade_outcomes(seed)
+    }
+    assert {"UnresolvableMatching", "UnresolvableQuality", "AdjudicationRequired"} <= errors
+    assert None in errors  # and plenty of graded tools
+
+
+if __name__ == "__main__":
+    DIGESTS.write_text(json.dumps(compute_digests(), indent=2, sort_keys=True) + "\n")
+    print(f"wrote {DIGESTS}")
