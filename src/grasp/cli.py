@@ -30,9 +30,9 @@ from .engine import (
     assign_grade,
     compute_indices,
 )
-from .errors import GraspError
+from .errors import GraspError, UnsafeReportPath
 from .model import GradeResult, ToolProfile
-from .report import ReportFormat, render_detailed_report, render_evidence_summary
+from .report import ReportFormat, grade_to_obj, render_detailed_report, render_evidence_summary
 
 
 class ExitStatus(IntEnum):
@@ -117,10 +117,15 @@ def _load_corpus(args: argparse.Namespace) -> corpus_io.Corpus:
     )
 
 
-def _select_tools(corpus: corpus_io.Corpus, tool_id: Optional[str]) -> list[ToolProfile]:
-    if tool_id is None:
-        return list(corpus.tools)
-    return [corpus.tool(tool_id)]
+def _grade_selected(
+    args: argparse.Namespace,
+) -> tuple[corpus_io.Corpus, AppraisalPolicy, list[tuple[ToolProfile, GradeResult]]]:
+    """Load the corpus and grade every tool, or only ``--tool``."""
+    corpus = _load_corpus(args)
+    policy = _resolve_policy(args, corpus.policy)
+    tools = corpus.tools if args.tool is None else (corpus.tool(args.tool),)
+    graded = [(tool, assign_grade(tool, corpus.studies_for(tool.id), policy)) for tool in tools]
+    return corpus, policy, graded
 
 
 def _reference_year(args: argparse.Namespace, corpus: corpus_io.Corpus, tool: ToolProfile) -> int:
@@ -147,17 +152,6 @@ def _grade_line(result: GradeResult) -> str:
     return line
 
 
-def _structured_grade(result: GradeResult) -> dict:
-    return {
-        "tool_id": result.tool_id,
-        "final_grade": result.final_grade.value,
-        "direction": result.direction.value,
-        "tool_label": result.tool_label,
-        "needs_review": result.needs_review,
-        "justification": result.justification,
-    }
-
-
 def _write_reports(
     args: argparse.Namespace,
     corpus: corpus_io.Corpus,
@@ -166,28 +160,30 @@ def _write_reports(
     layout: ReportFormat,
 ) -> None:
     directory = Path(out_dir)
+    suffix = ".json" if layout is ReportFormat.STRUCTURED else ".md"
+    # Every target is checked before anything is written.
+    for tool, _ in graded:
+        name = f"{tool.id}{suffix}"
+        if Path(name).name != name or "\0" in name:
+            raise UnsafeReportPath(
+                f"tool id {tool.id!r} is not a plain file name; no report written to {directory}"
+            )
     directory.mkdir(parents=True, exist_ok=True)
     stamp = _stamp_value(args)
     for tool, result in graded:
         indices = compute_indices(tool, _reference_year(args, corpus, tool))
         report = render_detailed_report(tool, result, indices, layout, generated_at=stamp)
         if layout is ReportFormat.STRUCTURED:
-            path = directory / f"{tool.id}.json"
-            path.write_text(json.dumps(report.body, indent=2, ensure_ascii=False) + "\n")
+            text = json.dumps(report.body, indent=2, ensure_ascii=False) + "\n"
         else:
-            path = directory / f"{tool.id}.md"
-            path.write_text(str(report.body))
+            text = str(report.body)
+        (directory / f"{tool.id}{suffix}").write_text(text)
 
 
 def _cmd_grade(args: argparse.Namespace) -> int:
-    corpus = _load_corpus(args)
-    policy = _resolve_policy(args, corpus.policy)
-    graded = [
-        (tool, assign_grade(tool, corpus.studies_for(tool.id), policy))
-        for tool in _select_tools(corpus, args.tool)
-    ]
+    corpus, _, graded = _grade_selected(args)
     if args.format == "structured":
-        print(json.dumps([_structured_grade(r) for _, r in graded], indent=2))
+        print(json.dumps([grade_to_obj(r) for _, r in graded], indent=2))
     else:
         for _, result in graded:
             print(_grade_line(result))
@@ -200,13 +196,8 @@ def _cmd_grade(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    corpus = _load_corpus(args)
-    policy = _resolve_policy(args, corpus.policy)
+    corpus, policy, graded = _grade_selected(args)
     layout = _LAYOUTS[args.layout]
-    graded = [
-        (tool, assign_grade(tool, corpus.studies_for(tool.id), policy))
-        for tool in _select_tools(corpus, args.tool)
-    ]
     if args.out:
         _write_reports(args, corpus, graded, args.out, layout)
         return ExitStatus.OK
@@ -217,10 +208,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
         report = render_detailed_report(tool, result, indices, layout, generated_at=stamp)
         if args.summary:
             records = [s for s in corpus.studies_for(tool.id) if s.is_gradable]
-            appraisals = {s.id: appraise_study(s, tool, policy) for s in records}
+            appraisals = {s.id: appraise_study(s, policy) for s in records}
             summary = render_evidence_summary(
                 records, appraisals, layout,
-                generated_at=stamp, engine_policy=policy.fingerprint(),
+                generated_at=stamp, engine_policy=result.policy,
             )
             if layout is ReportFormat.STRUCTURED:
                 bodies.append({"report": report.body, "evidence_summary": summary.body})
@@ -371,9 +362,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return ExitStatus.DATA_ERROR
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return ExitStatus.DATA_ERROR
-    except KeyError as exc:
-        print(f"error: unknown tool id {exc}", file=sys.stderr)
         return ExitStatus.DATA_ERROR
     except Exception as exc:  # pragma: no cover - invariant breach
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -15,7 +15,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from .engine import MatchingRule, PolicyOverrides, QualityRule, TieFallback
@@ -28,6 +30,7 @@ from .errors import (
     OutOfRange,
     SchemaError,
     UnknownGrade,
+    UnknownTool,
 )
 from .model import (
     LEVEL_BY_IMPACT_SUBTYPE,
@@ -55,21 +58,37 @@ SCHEMA_VERSION = "grasp-corpus/1"
 
 @dataclass(frozen=True)
 class Corpus:
-    """A validated set of tools and their study records."""
+    """A validated set of tools and their study records.
+
+    Lookups by tool id go through indexes built on first use; they are
+    derived data, so they take no part in equality or repr.
+    """
 
     tools: tuple[ToolProfile, ...]
     studies: tuple[StudyRecord, ...]
     policy: Optional[PolicyOverrides] = None
     schema_version: str = SCHEMA_VERSION
 
+    @cached_property
+    def _tools_by_id(self) -> dict[str, ToolProfile]:
+        # Reversed so that the first of any duplicate ids wins.
+        return {tool.id: tool for tool in reversed(self.tools)}
+
+    @cached_property
+    def _studies_by_tool(self) -> dict[str, tuple[StudyRecord, ...]]:
+        grouped: dict[str, list[StudyRecord]] = {}
+        for study in self.studies:
+            grouped.setdefault(study.tool_id, []).append(study)
+        return {tool_id: tuple(group) for tool_id, group in grouped.items()}
+
     def tool(self, tool_id: str) -> ToolProfile:
-        for tool in self.tools:
-            if tool.id == tool_id:
-                return tool
-        raise KeyError(tool_id)
+        try:
+            return self._tools_by_id[tool_id]
+        except KeyError:
+            raise UnknownTool(f"unknown tool id {tool_id!r}") from None
 
     def studies_for(self, tool_id: str) -> tuple[StudyRecord, ...]:
-        return tuple(s for s in self.studies if s.tool_id == tool_id)
+        return self._studies_by_tool.get(tool_id, ())
 
 
 @dataclass(frozen=True)
@@ -133,6 +152,10 @@ def _as_int(value: Any, path: str) -> int:
 def _as_number(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{path}: expected a number, got {type(value).__name__}")
+    # json.loads reads NaN and +-Infinity (1e400 too), which cannot be emitted
+    # as JSON; an integer beyond the float range cannot be stored at all.
+    if not abs(value) <= sys.float_info.max:
+        raise SchemaError(f"{path}: expected a finite number")
     return float(value)
 
 
@@ -419,30 +442,23 @@ def _parse_study(value: Any, path: str, strict: bool, sink: _Collector) -> Study
 
 # --- policy ---
 
-_POLICY_KEYS = ("matching_rule", "quality_rule", "tie_fallback")
+#: Policy block keys and the rule each one sets.
+_POLICY_RULES = {
+    "matching_rule": MatchingRule,
+    "quality_rule": QualityRule,
+    "tie_fallback": TieFallback,
+}
 
 
 def _parse_policy(value: Any, path: str, strict: bool,
                   sink: _Collector) -> Optional[PolicyOverrides]:
     obj = _as_obj(value, path)
-    _check_unknown(obj, _POLICY_KEYS, path, strict, sink)
-    overrides = PolicyOverrides(
-        matching_rule=(
-            _decode_enum(obj["matching_rule"], MatchingRule, f"{path}.matching_rule")
-            if "matching_rule" in obj
-            else None
-        ),
-        quality_rule=(
-            _decode_enum(obj["quality_rule"], QualityRule, f"{path}.quality_rule")
-            if "quality_rule" in obj
-            else None
-        ),
-        tie_fallback=(
-            _decode_enum(obj["tie_fallback"], TieFallback, f"{path}.tie_fallback")
-            if "tie_fallback" in obj
-            else None
-        ),
-    )
+    _check_unknown(obj, _POLICY_RULES, path, strict, sink)
+    overrides = PolicyOverrides(**{
+        key: _decode_enum(obj[key], rule, f"{path}.{key}")
+        for key, rule in _POLICY_RULES.items()
+        if key in obj
+    })
     return None if overrides == PolicyOverrides() else overrides
 
 
@@ -466,6 +482,7 @@ def _cross_checks(
         seen_tools[tool.id] = path
 
     seen_studies: dict[str, str] = {}
+    by_tool: dict[str, list[tuple[str, StudyRecord]]] = {}
     for path, study in studies:
         if study.id in seen_studies:
             sink.error(SchemaError(
@@ -476,9 +493,10 @@ def _cross_checks(
             sink.error(DanglingReferenceError(
                 f"{path}.tool_id: no tool with id '{study.tool_id}'"
             ))
+        by_tool.setdefault(study.tool_id, []).append((path, study))
 
     for tool_path, tool in tools:
-        attached = [(p, s) for p, s in studies if s.tool_id == tool.id]
+        attached = by_tool.get(tool.id, [])
         external = [(p, s) for p, s in attached if s.study_type is StudyType.EXTERNAL_VALIDATION]
         if external:
             derived = GradeLevel.C1 if len({s.id for _, s in external}) >= 2 else GradeLevel.C2
@@ -522,6 +540,8 @@ def load_corpus(
         )], []
     except RecursionError:
         return None, [CorpusSyntaxError("document nesting exceeds the parser limit")], []
+    except ValueError as exc:  # an integer literal past int()'s digit limit
+        return None, [CorpusSyntaxError(f"malformed JSON: {exc}")], []
 
     try:
         top = _as_obj(document, "$")
@@ -669,18 +689,8 @@ def emit_corpus(corpus: Corpus) -> bytes:
         "studies": [study_to_obj(s) for s in sorted(corpus.studies, key=lambda s: s.id)],
     }
     if corpus.policy is not None and corpus.policy != PolicyOverrides():
-        policy = {
-            "matching_rule": corpus.policy.matching_rule.value
-            if corpus.policy.matching_rule
-            else None,
-            "quality_rule": corpus.policy.quality_rule.value
-            if corpus.policy.quality_rule
-            else None,
-            "tie_fallback": corpus.policy.tie_fallback.value
-            if corpus.policy.tie_fallback
-            else None,
-        }
-        document["policy"] = {k: v for k, v in policy.items() if v is not None}
+        rules = {key: getattr(corpus.policy, key) for key in _POLICY_RULES}
+        document["policy"] = {key: rule.value for key, rule in rules.items() if rule is not None}
     text = json.dumps(document, indent=2, ensure_ascii=False) + "\n"
     return text.encode("utf-8")
 
@@ -739,8 +749,9 @@ def parse_survey_sheet(data: bytes | str) -> dict[str, list[int]]:
         if not question_id:
             raise SchemaError(f"survey sheet: line {lineno}: empty question_id")
         try:
-            value = int(token)
-        except ValueError:
+            # ASCII only: int() also reads the digits of other scripts.
+            value = int(token.encode("ascii"))
+        except ValueError:  # UnicodeEncodeError included
             raise OutOfRange(
                 f"survey sheet: line {lineno}: response must be an integer 1..5, got '{token}'"
             ) from None

@@ -108,9 +108,7 @@ class PolicyOverrides:
         )
 
 
-def resolve_matching(
-    record: StudyRecord, tool: ToolProfile, policy: AppraisalPolicy
-) -> MatchingVerdict:
+def resolve_matching(record: StudyRecord, policy: AppraisalPolicy) -> MatchingVerdict:
     """Decide whether the study conditions match the tool's specification.
 
     An explicit override wins. Otherwise, under STRICT_ALL the study matches
@@ -151,29 +149,23 @@ def resolve_quality(record: StudyRecord, policy: AppraisalPolicy) -> QualityVerd
     return QualityVerdict.HIGH if trues > falses else QualityVerdict.LOW
 
 
-_STRENGTH_TABLE = {
-    (MatchingVerdict.MATCHING, QualityVerdict.HIGH): StrengthVerdict.STRONG,
-    (MatchingVerdict.MATCHING, QualityVerdict.LOW): StrengthVerdict.MEDIUM,
-    (MatchingVerdict.NON_MATCHING, QualityVerdict.HIGH): StrengthVerdict.MEDIUM,
-    (MatchingVerdict.NON_MATCHING, QualityVerdict.LOW): StrengthVerdict.WEAK,
-}
-
-_CLASS_TABLE = {
-    (MatchingVerdict.MATCHING, QualityVerdict.HIGH): EvidenceClass.A,
-    (MatchingVerdict.MATCHING, QualityVerdict.LOW): EvidenceClass.B,
-    (MatchingVerdict.NON_MATCHING, QualityVerdict.HIGH): EvidenceClass.B,
-    (MatchingVerdict.NON_MATCHING, QualityVerdict.LOW): EvidenceClass.C,
+#: Strength and adjudication class of each (matching, quality) pair.
+_APPRAISAL_TABLE = {
+    (MatchingVerdict.MATCHING, QualityVerdict.HIGH): (StrengthVerdict.STRONG, EvidenceClass.A),
+    (MatchingVerdict.MATCHING, QualityVerdict.LOW): (StrengthVerdict.MEDIUM, EvidenceClass.B),
+    (MatchingVerdict.NON_MATCHING, QualityVerdict.HIGH): (StrengthVerdict.MEDIUM, EvidenceClass.B),
+    (MatchingVerdict.NON_MATCHING, QualityVerdict.LOW): (StrengthVerdict.WEAK, EvidenceClass.C),
 }
 
 
 def classify_strength(matching: MatchingVerdict, quality: QualityVerdict) -> StrengthVerdict:
     """Strong for matching high-quality evidence, weak for non-matching low-quality, medium between."""
-    return _STRENGTH_TABLE[(matching, quality)]
+    return _APPRAISAL_TABLE[(matching, quality)][0]
 
 
 def classify_evidence_class(matching: MatchingVerdict, quality: QualityVerdict) -> EvidenceClass:
     """Adjudication class: the same table as strength with A/B/C in place of strong/medium/weak."""
-    return _CLASS_TABLE[(matching, quality)]
+    return _APPRAISAL_TABLE[(matching, quality)][1]
 
 
 @dataclass(frozen=True)
@@ -186,17 +178,11 @@ class StudyAppraisal:
     evidence_class: EvidenceClass
 
 
-def appraise_study(
-    record: StudyRecord, tool: ToolProfile, policy: AppraisalPolicy
-) -> StudyAppraisal:
-    matching = resolve_matching(record, tool, policy)
+def appraise_study(record: StudyRecord, policy: AppraisalPolicy) -> StudyAppraisal:
+    matching = resolve_matching(record, policy)
     quality = resolve_quality(record, policy)
-    return StudyAppraisal(
-        matching=matching,
-        quality=quality,
-        strength=classify_strength(matching, quality),
-        evidence_class=classify_evidence_class(matching, quality),
-    )
+    strength, evidence_class = _APPRAISAL_TABLE[(matching, quality)]
+    return StudyAppraisal(matching, quality, strength, evidence_class)
 
 
 def _is_positive(direction: StudyDirection) -> bool:
@@ -224,9 +210,7 @@ def mixed_protocol(
 
     tally: dict[EvidenceClass, list[int]] = {c: [0, 0] for c in EvidenceClass}
     for record in studies:
-        cls = classify_evidence_class(
-            resolve_matching(record, tool, policy), resolve_quality(record, policy)
-        )
+        cls = appraise_study(record, policy).evidence_class
         tally[cls][0 if _is_positive(record.direction) else 1] += 1
 
     trace = [
@@ -364,7 +348,7 @@ def build_buckets(
 
 
 def _justification(
-    policy: AppraisalPolicy,
+    fingerprint: str,
     final: GradeLevel,
     supporting: Optional[EvidenceBucket],
     ordered: Sequence[EvidenceBucket],
@@ -387,7 +371,7 @@ def _justification(
             "not qualifying: "
             + ", ".join(f"{b.level.value} {b.direction.value}" for b in ordered)
         )
-    parts.append(f"policy[{policy.fingerprint()}]")
+    parts.append(f"policy[{fingerprint}]")
     return "; ".join(parts)
 
 
@@ -421,15 +405,17 @@ def assign_grade(
     )
     final = supporting.level if supporting is not None else GradeLevel.C0
     direction = supporting.direction if supporting is not None else ordered[0].direction
+    fingerprint = policy.fingerprint()
 
     result = GradeResult(
         tool_id=tool.id,
         final_grade=final,
         direction=direction,
-        justification=_justification(policy, final, supporting, ordered),
+        justification=_justification(fingerprint, final, supporting, ordered),
         needs_review=any(b.needs_review for b in ordered),
         all_buckets=ordered,
         supporting_bucket=supporting,
+        policy=fingerprint,
     )
     return replace(result, tool_label=tool_label(result))
 

@@ -93,6 +93,10 @@ class DuplicateTool(CorpusError):
     """A rater sheet lists the same tool twice."""
 
 
+class UnknownTool(GraspError):
+    """A tool id was requested that the corpus does not hold."""
+
+
 # --- report generation ---
 
 
@@ -102,3 +106,7 @@ class UnresolvedStrength(GraspError):
 
 class FormatUnsupported(GraspError):
     """The requested report format is not implemented."""
+
+
+class UnsafeReportPath(GraspError):
+    """A tool id is not a plain file name, so its report would leave the directory."""

@@ -66,10 +66,6 @@ class GradeLevel(Enum):
     A1 = "A1"
 
     @property
-    def rank(self) -> int:
-        return _RANK[self]
-
-    @property
     def phase(self) -> Phase:
         return _LEVEL_PHASE[self]
 
@@ -83,18 +79,8 @@ class GradeLevel(Enum):
         return _EVIDENCE_LABEL.get(self, "")
 
 
-_RANK = {
-    GradeLevel.C0: 0,
-    GradeLevel.C3: 1,
-    GradeLevel.C2: 2,
-    GradeLevel.C1: 3,
-    GradeLevel.B3: 4,
-    GradeLevel.B2: 5,
-    GradeLevel.B1: 6,
-    GradeLevel.A3: 7,
-    GradeLevel.A2: 8,
-    GradeLevel.A1: 9,
-}
+#: Members are declared in ladder order, so their position is their rank.
+_RANK = {level: position for position, level in enumerate(GradeLevel)}
 
 _LEVEL_PHASE = {
     GradeLevel.C0: Phase.BEFORE_IMPLEMENTATION,
@@ -383,7 +369,8 @@ class GradeResult:
 
     ``final_grade`` is C0 exactly when no bucket direction qualifies; in that
     case ``supporting_bucket`` is absent and ``direction`` reports the verdict
-    of the highest-ranked bucket.
+    of the highest-ranked bucket. ``policy`` is the fingerprint of the
+    appraisal policy that produced the result.
     """
 
     tool_id: str
@@ -394,6 +381,7 @@ class GradeResult:
     all_buckets: tuple[EvidenceBucket, ...]
     supporting_bucket: Optional[EvidenceBucket] = None
     tool_label: Optional[str] = None
+    policy: str = ""
 
 
 @dataclass(frozen=True)

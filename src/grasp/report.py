@@ -219,12 +219,6 @@ def _row(label: str, value: str) -> str:
     return f"| {label} | {_escape_cell(value)} |"
 
 
-def _policy_of(result: GradeResult) -> str:
-    # The fingerprint is embedded in the justification as "policy[...]".
-    start = result.justification.rfind("policy[")
-    return result.justification[start + len("policy[") : -1] if start >= 0 else ""
-
-
 def _bucket_for(result: GradeResult, level: GradeLevel) -> Optional[EvidenceBucket]:
     for bucket in result.all_buckets:
         if bucket.level is level:
@@ -336,7 +330,7 @@ def _markdown_detailed(
 ) -> str:
     title = "GRASP Detailed Report" if not legacy else "GRASP Detailed Report (legacy layout)"
     lines = [f"# {title}: {tool.name}", ""]
-    lines += _stamp_lines(generated_at, _policy_of(result))
+    lines += _stamp_lines(generated_at, result.policy)
     lines += ["", "| Field | Value |", "| --- | --- |"]
     if legacy:
         values = (
@@ -368,6 +362,18 @@ def _markdown_detailed(
     return "\n".join(lines) + "\n"
 
 
+def grade_to_obj(result: GradeResult) -> dict:
+    """The grade outcome as a JSON-ready mapping, shared by every structured output."""
+    return {
+        "tool_id": result.tool_id,
+        "final_grade": result.final_grade.value,
+        "direction": result.direction.value,
+        "tool_label": result.tool_label,
+        "needs_review": result.needs_review,
+        "justification": result.justification,
+    }
+
+
 def _structured_detailed(
     tool: ToolProfile,
     result: GradeResult,
@@ -377,12 +383,7 @@ def _structured_detailed(
     return {
         "tool": tool_to_obj(tool),
         "result": {
-            "tool_id": result.tool_id,
-            "final_grade": result.final_grade.value,
-            "direction": result.direction.value,
-            "tool_label": result.tool_label,
-            "needs_review": result.needs_review,
-            "justification": result.justification,
+            **grade_to_obj(result),
             "buckets": [
                 {
                     "level": bucket.level.value,
@@ -399,7 +400,7 @@ def _structured_detailed(
             "publication_index": indices.publication_index,
             "literature_index": indices.literature_index,
         },
-        "policy": _policy_of(result),
+        "policy": result.policy,
         "generated_at": generated_at,
     }
 
@@ -430,7 +431,7 @@ def render_detailed_report(
         tool_id=tool.id,
         format=format,
         body=body,
-        engine_policy=_policy_of(result),
+        engine_policy=result.policy,
         generated_at=generated_at,
     )
 

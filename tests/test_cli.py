@@ -303,6 +303,66 @@ class TestReportCommand:
         assert "Generated:" in stamped
 
 
+class TestReportContainment:
+    @staticmethod
+    def _corpus_with_ids(tmp_path, *tool_ids):
+        doc = json.loads((FIXTURES / "grasp8.json").read_text())
+        taylor = next(t for t in doc["tools"] if t["id"] == "taylor")
+        study = next(s for s in doc["studies"] if s["tool_id"] == "taylor")
+        doc["tools"] = [dict(taylor, id=tool_id) for tool_id in tool_ids]
+        doc["studies"] = [
+            dict(study, id=f"s{i}", tool_id=tool_id) for i, tool_id in enumerate(tool_ids)
+        ]
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    @pytest.mark.parametrize("bad_id", ["../escaped", "a/b"])
+    @pytest.mark.parametrize("command, flag", [("grade", "--report"), ("report", "--out")])
+    def test_tool_id_cannot_leave_the_report_directory(
+        self, capsys, tmp_path, bad_id, command, flag
+    ):
+        # "+first" sorts before both bad ids, so its report would come first.
+        corpus = self._corpus_with_ids(tmp_path, "+first", bad_id)
+        out_dir = tmp_path / "out" / "sub"
+        code, _, err = run(capsys, command, corpus, flag, str(out_dir))
+        assert code == 1
+        assert repr(bad_id) in err
+        written = [p for p in tmp_path.rglob("*") if p.name != "corpus.json"]
+        assert written == []
+
+    def test_plain_ids_still_written(self, capsys, tmp_path):
+        corpus = self._corpus_with_ids(tmp_path, "+first", "..dots")
+        code, _, _ = run(capsys, "grade", corpus, "--report", str(tmp_path / "out"))
+        assert code == 0
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["+first.md", "..dots.md"]
+
+
+class TestNonFiniteNumbers:
+    @pytest.mark.parametrize("token", [
+        "NaN", "Infinity", "-Infinity", "1e400", pytest.param("1" + "0" * 400, id="1e400-int"),
+    ])
+    def test_validate_names_the_field(self, capsys, tmp_path, token):
+        text = (FIXTURES / "grasp8.json").read_text()
+        path = tmp_path / "bad.json"
+        path.write_text(text.replace('"journal_rank": 3.1', f'"journal_rank": {token}', 1))
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 1
+        assert out == ""
+        assert "SchemaError: $.tools[" in err and "].journal_rank" in err and "finite" in err
+
+
+class TestInternalErrors:
+    def test_stray_key_error_is_an_internal_error(self, capsys, monkeypatch):
+        def broken(*_):
+            raise KeyError("bug")
+        monkeypatch.setattr("grasp.cli.assign_grade", broken)
+        code, out, err = run(capsys, "grade", CORPUS)
+        assert code == 3
+        assert out == ""
+        assert err == "internal error: KeyError: 'bug'\n"
+
+
 class TestUsageErrors:
     def test_no_command_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -23,6 +23,7 @@ from grasp.errors import (
     OutOfRange,
     SchemaError,
     UnknownGrade,
+    UnknownTool,
 )
 from grasp.model import GradeLevel, StudyDirection
 from conftest import FIXTURES
@@ -63,6 +64,24 @@ class TestParse:
         assert [t.id for t in corpus.tools] == sorted(t.id for t in corpus.tools)
         assert [s.id for s in corpus.studies] == sorted(s.id for s in corpus.studies)
 
+    def test_lookups_by_tool_id(self, corpus8):
+        assert corpus8.tool("lace").id == "lace"
+        assert [s.id for s in corpus8.studies_for("lace")] == [
+            s.id for s in corpus8.studies if s.tool_id == "lace"
+        ]
+        assert corpus8.studies_for("nope") == ()
+        with pytest.raises(UnknownTool) as err:
+            corpus8.tool("nope")
+        assert str(err.value) == "unknown tool id 'nope'"
+
+    def test_lookup_indexes_stay_out_of_equality_and_repr(self, corpus8):
+        fresh = Corpus(corpus8.tools, corpus8.studies, corpus8.policy)
+        before = repr(fresh)
+        fresh.tool("lace")
+        fresh.studies_for("lace")
+        assert repr(fresh) == before
+        assert fresh == Corpus(corpus8.tools, corpus8.studies, corpus8.policy)
+
     def test_malformed_json(self):
         with pytest.raises(CorpusSyntaxError) as err:
             parse_corpus(b'{"schema_version": ')
@@ -87,6 +106,11 @@ class TestParse:
     def test_wrong_shapes_yield_typed_errors(self, payload):
         with pytest.raises(CorpusError):
             parse_corpus(payload)
+
+    def test_overlong_integer_yields_typed_error(self, corpus8_bytes):
+        data = corpus8_bytes.replace(b'"year": 1981', b'"year": 1' + b"0" * 5000, 1)
+        with pytest.raises(CorpusSyntaxError):
+            parse_corpus(data)
 
     def test_pathological_nesting_yields_typed_error(self):
         with pytest.raises(CorpusSyntaxError):
@@ -233,6 +257,20 @@ class TestParse:
         kinds = {type(e) for e in errors}
         assert DanglingReferenceError in kinds and SchemaError in kinds
 
+    @pytest.mark.parametrize("token", [
+        "NaN", "Infinity", "-Infinity", "1e400", pytest.param("1" + "0" * 400, id="1e400-int"),
+    ])
+    def test_non_finite_number_rejected(self, corpus8_bytes, token):
+        # Accepting one would make emit_corpus write a document that is not JSON.
+        doc = _doc(corpus8_bytes)
+        doc["tools"][2]["journal_rank"] = 0.0
+        data = json.dumps(doc).replace('"journal_rank": 0.0', f'"journal_rank": {token}')
+        with pytest.raises(SchemaError) as err:
+            parse_corpus(data.encode())
+        assert str(err.value).startswith("$.tools[2].journal_rank: ")
+        corpus, errors, _ = load_corpus(data)
+        assert corpus is None and str(errors[0]) == str(err.value)
+
 
 class TestEmit:
     def test_emit_is_a_fixed_point_on_the_fixture(self, corpus8, corpus8_bytes):
@@ -332,5 +370,7 @@ class TestSurveySheet:
             parse_survey_sheet(b"question_id,response\nq1,6\n")
 
     def test_non_integer(self):
-        with pytest.raises(OutOfRange):
-            parse_survey_sheet(b"question_id,response\nq1,yes\n")
+        # int() would read the Arabic-Indic digit three as 3.
+        for token in ("yes", "\u0663"):
+            with pytest.raises(OutOfRange):
+                parse_survey_sheet(f"question_id,response\nq1,{token}\n".encode())

@@ -74,28 +74,28 @@ def _matching_record(flags, override=None):
 class TestResolveMatching:
     def test_all_seven_true_is_matching(self):
         flags = {k: True for k in MATCHING_FIELD_KEYS}
-        assert resolve_matching(_matching_record(flags), TOOL, DEFAULT) is MatchingVerdict.MATCHING
+        assert resolve_matching(_matching_record(flags), DEFAULT) is MatchingVerdict.MATCHING
 
     def test_one_false_is_non_matching(self):
         flags = {k: True for k in MATCHING_FIELD_KEYS}
         flags["target_population"] = False
-        assert resolve_matching(_matching_record(flags), TOOL, DEFAULT) is MatchingVerdict.NON_MATCHING
+        assert resolve_matching(_matching_record(flags), DEFAULT) is MatchingVerdict.NON_MATCHING
 
     def test_missing_fields_depend_on_policy(self):
         flags = {"predictive_task": True}
         record = _matching_record(flags)
-        assert resolve_matching(record, TOOL, DEFAULT) is MatchingVerdict.NON_MATCHING
-        assert resolve_matching(record, TOOL, IGNORE_MISSING) is MatchingVerdict.MATCHING
+        assert resolve_matching(record, DEFAULT) is MatchingVerdict.NON_MATCHING
+        assert resolve_matching(record, IGNORE_MISSING) is MatchingVerdict.MATCHING
 
     def test_override_wins(self):
         record = _matching_record({}, override=MatchingVerdict.NON_MATCHING)
-        assert resolve_matching(record, TOOL, DEFAULT) is MatchingVerdict.NON_MATCHING
+        assert resolve_matching(record, DEFAULT) is MatchingVerdict.NON_MATCHING
 
     def test_no_override_no_flags_is_unresolvable(self):
         with pytest.raises(UnresolvableMatching):
-            resolve_matching(_matching_record({}), TOOL, DEFAULT)
+            resolve_matching(_matching_record({}), DEFAULT)
         with pytest.raises(UnresolvableMatching):
-            resolve_matching(_matching_record({}), TOOL, IGNORE_MISSING)
+            resolve_matching(_matching_record({}), IGNORE_MISSING)
 
     @pytest.mark.parametrize("policy,strict", [(DEFAULT, True), (IGNORE_MISSING, False)])
     def test_exhaustive_flag_table(self, policy, strict):
@@ -106,9 +106,9 @@ class TestResolveMatching:
             record = _matching_record(flags)
             if expected is None:
                 with pytest.raises(UnresolvableMatching):
-                    resolve_matching(record, TOOL, policy)
+                    resolve_matching(record, policy)
             else:
-                assert resolve_matching(record, TOOL, policy) is expected
+                assert resolve_matching(record, policy) is expected
 
 
 class TestResolveQuality:
@@ -528,10 +528,17 @@ def test_appraise_study_consistent_with_parts():
     record = make_study("s000", GradeLevel.C3, P,
                         matching_override=MatchingVerdict.NON_MATCHING,
                         quality_override=QualityVerdict.HIGH)
-    appraisal = appraise_study(record, TOOL, DEFAULT)
+    appraisal = appraise_study(record, DEFAULT)
     assert appraisal.matching is MatchingVerdict.NON_MATCHING
     assert appraisal.strength is StrengthVerdict.MEDIUM
     assert appraisal.evidence_class is EvidenceClass.B
+
+
+def test_result_carries_policy_fingerprint():
+    policy = AppraisalPolicy(tie_fallback=TieFallback.FAIL_WITH_REVIEW_FLAG)
+    result = assign_grade(TOOL, [make_study("s000", GradeLevel.C3, P)], policy)
+    assert result.policy == policy.fingerprint()
+    assert result.justification.endswith(f"policy[{policy.fingerprint()}]")
 
 
 def test_monotonicity_spot_check():

@@ -189,9 +189,8 @@ class TestStructured:
 
 class TestEvidenceSummary:
     def _summary(self, corpus8, tool_id, fmt=ReportFormat.MARKDOWN_TABLE4):
-        tool = corpus8.tool(tool_id)
         records = [s for s in corpus8.studies_for(tool_id) if s.is_gradable]
-        appraisals = {s.id: appraise_study(s, tool, POLICY) for s in records}
+        appraisals = {s.id: appraise_study(s, POLICY) for s in records}
         return records, render_evidence_summary(records, appraisals, fmt)
 
     def test_one_row_per_study(self, corpus8):
@@ -226,9 +225,8 @@ class TestEvidenceSummary:
                 assert quality in valid and strength in valid
 
     def test_strong_evidence_cell(self):
-        tool = make_tool()
         record = make_study("s001", GradeLevel.C3, P)
-        appraisals = {"s001": appraise_study(record, tool, POLICY)}
+        appraisals = {"s001": appraise_study(record, POLICY)}
         report = render_evidence_summary([record], appraisals)
         assert "Strong Evidence" in report.body
 
@@ -245,9 +243,8 @@ class TestEvidenceSummary:
         assert "taylor-s1" in str(err.value)
 
     def test_structured_mirrors_corpus_conventions(self, corpus8):
-        tool = corpus8.tool("taylor")
         records = list(corpus8.studies_for("taylor"))
-        appraisals = {s.id: appraise_study(s, tool, POLICY) for s in records}
+        appraisals = {s.id: appraise_study(s, POLICY) for s in records}
         report = render_evidence_summary(records, appraisals, ReportFormat.STRUCTURED)
         entry = report.body["studies"][0]
         assert entry["id"] == "taylor-s1"
