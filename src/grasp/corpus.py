@@ -16,6 +16,7 @@ import csv
 import io
 import json
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
@@ -119,9 +120,23 @@ class _Collector:
 # --- typed accessors; every rejection names the offending field path ---
 
 
+class _Object(dict):
+    """A decoded JSON object that remembers the keys its text repeats."""
+    repeated: tuple[str, ...] = ()
+
+
+def _decode_object(pairs: list[tuple[str, Any]]) -> _Object:
+    obj = _Object(pairs)
+    if len(obj) < len(pairs):
+        obj.repeated = tuple(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+    return obj
+
+
 def _as_obj(value: Any, path: str) -> dict:
     if not isinstance(value, dict):
         raise SchemaError(f"{path}: expected an object, got {type(value).__name__}")
+    if isinstance(value, _Object) and value.repeated:
+        raise SchemaError(f"{path}.{value.repeated[0]}: duplicate field")
     return value
 
 
@@ -533,7 +548,7 @@ def load_corpus(
     except UnicodeDecodeError as exc:
         return None, [CorpusSyntaxError(f"not valid UTF-8: {exc}")], []
     try:
-        document = json.loads(text)
+        document = json.loads(text, object_pairs_hook=_decode_object)
     except json.JSONDecodeError as exc:
         return None, [CorpusSyntaxError(
             f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -691,7 +706,7 @@ def emit_corpus(corpus: Corpus) -> bytes:
     if corpus.policy is not None and corpus.policy != PolicyOverrides():
         rules = {key: getattr(corpus.policy, key) for key in _POLICY_RULES}
         document["policy"] = {key: rule.value for key, rule in rules.items() if rule is not None}
-    text = json.dumps(document, indent=2, ensure_ascii=False) + "\n"
+    text = json.dumps(document, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
     return text.encode("utf-8")
 
 

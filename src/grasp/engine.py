@@ -260,7 +260,8 @@ def aggregate_bucket(
         raise EmptyBucket(f"tool '{tool.id}': cannot aggregate an empty study list")
     if level is None:
         level = studies[0].level
-    assert level is not None
+    if level is None:
+        raise NoGradableEvidence(f"tool '{tool.id}': study '{studies[0].id}' has no level")
     ordered = tuple(sorted(studies, key=lambda s: s.id))
 
     n_pos = sum(_is_positive(s.direction) for s in ordered)

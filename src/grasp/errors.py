@@ -47,7 +47,7 @@ class DegenerateInput(GraspError):
 
 
 class TooLarge(GraspError):
-    """Exact permutation enumeration is bounded at n = 10."""
+    """The exact permutation test is bounded at n = 10."""
 
 
 class LengthMismatch(GraspError):

@@ -3,19 +3,19 @@ p-values, interrater comparison, and Likert survey aggregation.
 
 The rank correlation assigns mid-ranks to ties and correlates the rank
 vectors, which is the tie-correct form (the difference-of-ranks shortcut is
-wrong in the presence of ties). Significance uses exact enumeration of all
-n! arrangements, bounded at n = 10.
+wrong in the presence of ties). Significance is exact: a dynamic program
+counts the arrangements, out of all n!, whose correlation is at least as
+extreme as the observed one, without listing them; it is bounded at n = 10.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+from bisect import bisect_left, bisect_right
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from .errors import (
     DegenerateInput,
@@ -26,48 +26,36 @@ from .errors import (
 )
 from .model import GradeLevel, RaterComparison, ordinal_rank
 
-#: Exact permutation enumeration bound (10! = 3,628,800 arrangements).
+#: Exact permutation test bound (10! = 3,628,800 arrangements).
 MAX_EXACT_N = 10
 
-_EPS = 1e-12
+
+def _doubled_midranks(values: Sequence[float]) -> list[int]:
+    """Twice each mid-rank minus n + 1: tied values share the mean of their positions."""
+    ordered = sorted(values)
+    return [bisect_left(ordered, v) + bisect_right(ordered, v) - len(values) for v in values]
 
 
-def _midranks(values: Sequence[float]) -> np.ndarray:
-    """Ranks 1..n with tied values sharing the mean of their positions."""
-    arr = np.asarray(values, dtype=float)
-    order = np.argsort(arr, kind="stable")
-    ranks = np.empty(len(arr), dtype=float)
-    i = 0
-    while i < len(arr):
-        j = i
-        while j + 1 < len(arr) and arr[order[j + 1]] == arr[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2 + 1
-        i = j + 1
-    return ranks
-
-
-def _rank_vectors(x: Sequence[float], y: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+def _centred_ranks(x: Sequence[float], y: Sequence[float]) -> tuple[list[int], list[int]]:
+    """Doubled, centred mid-ranks of a valid pair, so every rank is an integer."""
     if len(x) != len(y):
         raise LengthMismatch(f"paired vectors differ in length: {len(x)} vs {len(y)}")
     if len(x) < 2:
         raise DegenerateInput("rank correlation needs at least two observations")
-    rx, ry = _midranks(x), _midranks(y)
-    if np.ptp(rx) == 0 or np.ptp(ry) == 0:
+    dx, dy = _doubled_midranks(x), _doubled_midranks(y)
+    if not any(dx) or not any(dy):
         raise DegenerateInput("rank correlation is undefined for a constant vector")
-    return rx, ry
+    return dx, dy
 
 
-def _pearson(rx: np.ndarray, ry: np.ndarray) -> float:
-    dx = rx - rx.mean()
-    dy = ry - ry.mean()
-    return float(dx @ dy / math.sqrt((dx @ dx) * (dy @ dy)))
+def _dot(a: Sequence[int], b: Sequence[int]) -> int:
+    return sum(u * v for u, v in zip(a, b))
 
 
 def spearman_rho(x: Sequence[float], y: Sequence[float]) -> float:
     """Tie-corrected Spearman rank correlation of two ordinal vectors."""
-    rx, ry = _rank_vectors(x, y)
-    return _pearson(rx, ry)
+    dx, dy = _centred_ranks(x, y)
+    return _dot(dx, dy) / math.sqrt(_dot(dx, dx) * _dot(dy, dy))
 
 
 def permutation_p(x: Sequence[float], y: Sequence[float]) -> float:
@@ -75,20 +63,32 @@ def permutation_p(x: Sequence[float], y: Sequence[float]) -> float:
 
     Counts the arrangements pi of y with |rho(x, pi(y))| at least the
     observed |rho| over all n! arrangements; arrangements that coincide
-    because of ties still count separately.
+    because of ties still count separately. The count runs position by
+    position: a state is the multiset of y-ranks not yet placed and the
+    partial sum of rank products, and placing one of c equal ranks counts
+    c ways.
     """
-    rx, ry = _rank_vectors(x, y)
-    n = len(rx)
+    dx, dy = _centred_ranks(x, y)
+    n = len(dx)
     if n > MAX_EXACT_N:
         raise TooLarge(f"exact permutation test is bounded at n={MAX_EXACT_N}, got {n}")
-    observed = abs(_pearson(rx, ry))
+    observed = abs(_dot(dx, dy))
 
-    perms = np.array(list(itertools.permutations(ry)))
-    dx = rx - rx.mean()
-    dy = perms - ry.mean()
-    denom = math.sqrt(float(dx @ dx) * float(dy[0] @ dy[0]))
-    rhos = dy @ dx / denom
-    hits = int(np.count_nonzero(np.abs(rhos) >= observed - _EPS))
+    counts = Counter(dy)
+    ranks = sorted(counts)
+    # unplaced y-rank counts -> {partial sum of rank products: arrangements}
+    layer = {tuple(counts[r] for r in ranks): Counter({0: 1})}
+    for a in dx:
+        following: defaultdict[tuple[int, ...], Counter] = defaultdict(Counter)
+        for unplaced, sums in layer.items():
+            for k, c in enumerate(unplaced):
+                if c:
+                    after = following[unplaced[:k] + (c - 1,) + unplaced[k + 1 :]]
+                    for total, ways in sums.items():
+                        after[total + a * ranks[k]] += ways * c
+        layer = following
+    (sums,) = layer.values()
+    hits = sum(ways for total, ways in sums.items() if abs(total) >= observed)
     return hits / math.factorial(n)
 
 

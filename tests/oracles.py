@@ -1,13 +1,16 @@
 """Independent oracles and record factories for the test suite.
 
 The oracles re-derive the documented decision rules in the most literal way
-possible (table lookups and widening loops) so that the engine's cascade
-implementation can be checked against a second, independently written path.
+possible (table lookups, widening loops, listing every permutation) so that
+the engine's cascade and the exact permutation count can be checked against
+a second, independently written path.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from typing import Iterable, Optional, Sequence
 
 from grasp.model import (
@@ -195,3 +198,29 @@ def oracle_quality_majority(flags: dict[str, bool]) -> QualityVerdict:
     trues = sum(1 for v in flags.values() if v)
     falses = len(flags) - trues
     return QualityVerdict.HIGH if trues > falses else QualityVerdict.LOW
+
+
+def oracle_permutation_p(x: Sequence[float], y: Sequence[float]) -> float:
+    """Exact two-sided p-value by listing all n! arrangements of y.
+
+    A mid-rank is the mean of the 1-based sorted positions its value
+    occupies. Each arrangement's |rho| is compared with the observed |rho|
+    within 1e-12, and arrangements that coincide because of ties count
+    separately. Costs O(n! * n); keep n at 9 or below.
+    """
+
+    def midranks(values: Sequence[float]) -> list[float]:
+        positions: dict[float, list[int]] = {}
+        for position, value in enumerate(sorted(values), start=1):
+            positions.setdefault(value, []).append(position)
+        return [sum(positions[v]) / len(positions[v]) for v in values]
+
+    mean = (len(x) + 1) / 2
+    dx = [r - mean for r in midranks(x)]
+    dy = [r - mean for r in midranks(y)]
+    scale = math.sqrt(sum(a * a for a in dx) * sum(b * b for b in dy))
+    # The identity comes first, so rhos[0] is the observed correlation.
+    rhos = [abs(sum(map(operator.mul, dx, arrangement))) / scale
+            for arrangement in itertools.permutations(dy)]
+    hits = sum(rho >= rhos[0] - 1e-12 for rho in rhos)
+    return hits / math.factorial(len(x))

@@ -2,7 +2,7 @@
 PASS/FAIL line (run with ``pytest tests/test_acceptance.py -v -s``).
 
 Tolerances are pinned here and nowhere else: correlations within 0.0005,
-p-values strictly below 0.001 by exact enumeration of all 8! arrangements,
+p-values strictly below 0.001 by an exact count over all 8! arrangements,
 grade and label reproductions exact.
 """
 

@@ -242,11 +242,13 @@ class TestValidate:
         doc = json.loads((FIXTURES / "grasp8.json").read_text())
         doc["studies"][0]["tool_id"] = "ghost"
         del doc["tools"][0]["year"]
+        doc["tools"][1]["DUPLICATE"] = "x"
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc).replace('"DUPLICATE"', '"name"'))
         code, _, err = run(capsys, "validate", str(path))
         assert code == 1
         assert "ghost" in err and ".year" in err
+        assert "$.tools[1].name: duplicate field" in err
 
     def test_lenient_unknown_field_warns_but_passes(self, capsys, tmp_path):
         doc = json.loads((FIXTURES / "grasp8.json").read_text())

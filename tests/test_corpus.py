@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -271,6 +272,23 @@ class TestParse:
         corpus, errors, _ = load_corpus(data)
         assert corpus is None and str(errors[0]) == str(err.value)
 
+    def test_duplicate_tool_field_rejected(self, corpus8_bytes):
+        # A repeated key must not silently win over the first one.
+        doc = _doc(corpus8_bytes)
+        doc["tools"][0]["DUPLICATE"] = 1700
+        data = json.dumps(doc).replace('"DUPLICATE"', '"year"')
+        with pytest.raises(SchemaError, match=r"^\$\.tools\[0\]\.year: duplicate field$"):
+            parse_corpus(data.encode())
+
+    def test_duplicate_matching_field_rejected(self, corpus8_bytes):
+        doc = _doc(corpus8_bytes)
+        index = next(i for i, s in enumerate(doc["studies"]) if "matching_fields" in s)
+        doc["studies"][index]["matching_fields"]["DUPLICATE"] = False
+        data = json.dumps(doc).replace('"DUPLICATE"', '"predictive_task"')
+        corpus, errors, _ = load_corpus(data)
+        assert corpus is None
+        assert str(errors[0]) == f"$.studies[{index}].matching_fields.predictive_task: duplicate field"
+
 
 class TestEmit:
     def test_emit_is_a_fixed_point_on_the_fixture(self, corpus8, corpus8_bytes):
@@ -289,14 +307,18 @@ class TestEmit:
 
     def test_single_tool_zero_studies(self, corpus8):
         tool = next(t for t in corpus8.tools if t.id == "taylor")
-        from dataclasses import replace
-
         corpus = Corpus(tools=(replace(tool, studies_count=0),), studies=())
         emitted = emit_corpus(corpus)
         doc = _doc(emitted)
         assert doc["studies"] == []
         assert doc["tools"][0]["id"] == "taylor"
         assert parse_corpus(emitted).tools[0].studies_count == 0
+
+    def test_non_finite_number_is_not_emitted(self, corpus8):
+        # A corpus built in code bypasses the parser's finiteness check.
+        tool = replace(corpus8.tools[0], journal_rank=float("nan"))
+        with pytest.raises(ValueError):
+            emit_corpus(Corpus(tools=(tool,), studies=()))
 
     def test_two_space_indent_and_trailing_newline(self, corpus8_bytes):
         text = corpus8_bytes.decode()

@@ -195,6 +195,12 @@ class TestAggregateBucket:
         with pytest.raises(EmptyBucket):
             aggregate_bucket([], TOOL, DEFAULT, level=GradeLevel.C3)
 
+    def test_record_without_level_is_a_typed_error(self):
+        # A metadata-only development record has no level to bucket under.
+        record = make_study("s-dev", None, P)
+        with pytest.raises(NoGradableEvidence, match="s-dev"):
+            aggregate_bucket([record], TOOL, DEFAULT)
+
     def test_equivocal_equivalent_to_negative_for_direction(self):
         # Exhaustive over multisets of size <= 4: swapping E for N never
         # changes the aggregated direction or the review flag. This makes

@@ -1,9 +1,15 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import scipy.stats
+
+import grasp
 
 from grasp.errors import (
     DegenerateInput,
@@ -23,6 +29,7 @@ from grasp.stats import (
     spearman_rho,
     summarize_survey,
 )
+from oracles import oracle_permutation_p
 
 
 def _random_vectors(rng, n, tie_prone=True):
@@ -127,6 +134,28 @@ class TestPermutationP:
         # y = [1, 1, 2]: 6 arrangements, 2 of which tie each distinct order.
         p = permutation_p([1, 2, 3], [1, 1, 2])
         assert p == pytest.approx(4 / 6)
+
+    def test_equals_enumeration_up_to_eight(self):
+        # Bitwise equality with the n! listing, on tied and untied pairs alike.
+        rng = random.Random(2024)
+        checked = 0
+        while checked < 1000:
+            x, y = _random_vectors(rng, rng.randint(2, 8), tie_prone=checked % 2 == 0)
+            if len(set(x)) < 2 or len(set(y)) < 2:
+                continue
+            assert permutation_p(x, y) == oracle_permutation_p(x, y), (x, y)
+            checked += 1
+
+    @pytest.mark.parametrize("seed,tie_prone", [(1, True), (2, True), (3, False), (4, False)])
+    def test_equals_enumeration_at_nine(self, seed, tie_prone):
+        x, y = _random_vectors(random.Random(seed), 9, tie_prone)
+        assert permutation_p(x, y) == oracle_permutation_p(x, y)
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(Path(grasp.__file__).resolve().parents[1]))
+    code = "import grasp.cli, sys; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 REFERENCE_GRADES = {
