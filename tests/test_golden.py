@@ -73,6 +73,8 @@ def _cli_cases() -> list[str]:
         cases.append(f"validate {{corpus}} {strictness}")
         cases.append(f"validate {{broken}} {strictness}")
         cases.append(f"grade {{broken}} {strictness}")
+        for name in _MUTANTS:
+            cases.append(f"validate {{mutant:{name}}} {strictness}")
     return cases
 
 
@@ -95,19 +97,116 @@ def _broken_corpus() -> bytes:
     return json.dumps(document, indent=2).encode()
 
 
+def _parent(document, path: str):
+    """The container of a dotted path (``tools.0.name``) and its last key."""
+    *parents, last = path.split(".")
+    node = document
+    for key in parents:
+        node = node[int(key)] if isinstance(node, list) else node[key]
+    return node, int(last) if isinstance(node, list) else last
+
+
+def _set(path: str, value):
+    def edit(document):
+        node, key = _parent(document, path)
+        node[key] = value
+    return edit
+
+
+def _delete(path: str):
+    def edit(document):
+        node, key = _parent(document, path)
+        del node[key]
+    return edit
+
+
+def _repeat_year(text: str) -> str:
+    """Repeat the first tool's ``year`` key, which ``json.dumps`` cannot write."""
+    return text.replace('"year": 1981,', '"year": 1981, "year": 1700,', 1)
+
+
+#: Fixed mutations of the fixture, one per decode path: each is a list of
+#: edits of the parsed document, or a function of its JSON text.
+_MUTANTS = {
+    "string-wrong-type": [_set("tools.0.name", 5)],
+    "int-wrong-type": [_set("tools.0.year", "1981")],
+    "int-given-bool": [_set("studies.0.year", True)],
+    "bool-wrong-type": [_set("tools.0.local_context", 0)],
+    "number-wrong-type": [_set("tools.0.journal_rank", "3.1")],
+    "enum-wrong-type": [_set("tools.0.category", ["diagnostic"])],
+    "enum-set-wrong-type": [_set("tools.0.input_type", "objective")],
+    "flag-map-wrong-type": [_set("studies.0.matching_fields", [True])],
+    "flag-wrong-type": [_set("studies.0.quality_fields.multi_site", "no")],
+    "policy-wrong-type": [_set("policy", "strict_all")],
+    "policy-rule-wrong-type": [_set("policy", {"matching_rule": 1})],
+    "enum-unknown-token": [_set("studies.0.direction", "sideways")],
+    "level-unknown-token": [_set("studies.0.level", "D1")],
+    "enum-set-unknown-token": [_set("studies.3.label", ["workflow", "speed"])],
+    "policy-unknown-token": [_set("policy", {"tie_fallback": "coin_flip"})],
+    "enum-token-not-string": [_set("studies.29.matching_override", True)],
+    "enum-set-token-not-string": [_set("tools.0.input_source", ["clinical", 7])],
+    "padded-mixed-case-tokens": [
+        _set("tools.0.category", " Diagnostic "),
+        _set("tools.0.input_source", [" CLINICAL"]),
+        _set("tools.0.input_type", ["Objective ", "SUBJECTIVE"]),
+        _set("tools.0.automation", "Manual"),
+        _set("studies.0.phase", " Before_Implementation"),
+        _set("studies.0.study_type", "DEVELOPMENT "),
+        _set("studies.0.level", " c3 "),
+        _set("studies.0.direction", " Positive "),
+        _set("studies.0.quality_override", "HIGH"),
+        _set("studies.4.impact_subtype", " Experimental "),
+        _set("studies.25.label", ["Efficiency", " SAFETY "]),
+        _set("studies.29.matching_override", " Matching"),
+        _set("policy", {
+            "matching_rule": " Strict_All ",
+            "quality_rule": "OVERRIDE_ONLY",
+            "tie_fallback": "conservative_negative ",
+        }),
+    ],
+    "tool-unknown-keys": [_set("tools.0.zeta", 1), _set("tools.0.alpha", 2)],
+    "study-unknown-keys": [_set("studies.0.zeta", 1), _set("studies.0.alpha", 2)],
+    "flag-map-unknown-keys": [
+        _set("studies.0.matching_fields.zeta", True),
+        _set("studies.0.quality_fields.alpha", False),
+    ],
+    "policy-unknown-key": [_set("policy", {"matching_rule": "strict_all", "colour": "green"})],
+    "top-unknown-keys": [_set("zeta", 1), _set("alpha", 2)],
+    "tool-field-missing": [_delete("tools.0.year")],
+    "study-field-missing": [_delete("studies.0.direction")],
+    "field-repeated": _repeat_year,
+}
+
+
+def _mutant_corpus(name: str) -> bytes:
+    document = json.loads(_FILES["{corpus}"].read_text())
+    mutation = _MUTANTS[name]
+    if callable(mutation):
+        return mutation(json.dumps(document, indent=2)).encode()
+    for edit in mutation:
+        edit(document)
+    return json.dumps(document, indent=2).encode()
+
+
 def run_cli(template: str, tmp: Path) -> dict:
     broken = tmp / "broken.json"
     broken.write_bytes(_broken_corpus())
+    mutant = tmp / "mutant.json"
     out = tmp / "out"
-    paths = {**_FILES, "{broken}": broken, "{out}": out}
-    argv = [str(paths.get(token, token)) for token in template.split()]
+    paths = {**_FILES, "{broken}": broken, "{mutant}": mutant, "{out}": out}
+    argv = []
+    for token in template.split():
+        if token.startswith("{mutant:"):
+            mutant.write_bytes(_mutant_corpus(token[len("{mutant:"):-1]))
+            token = "{mutant}"
+        argv.append(str(paths.get(token, token)))
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = main(argv)
     files = {
         path.relative_to(tmp).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(tmp.rglob("*"))
-        if path.is_file() and path != broken
+        if path.is_file() and path not in (broken, mutant)
     }
     return {
         "code": int(code),
