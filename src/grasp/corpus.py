@@ -2,10 +2,10 @@
 
 A corpus is a UTF-8 JSON document with top-level keys ``schema_version``,
 ``tools``, ``studies``, and optional ``policy``. Enumerations are encoded as
-lowercase tokens (grade levels as ``"C1"``-style tokens, decoded
-case-insensitively). Canonical form fixes key order, sorts tools and studies
-by id, and indents with two spaces, so emitting is a fixed point and
-``parse(emit(c)) == c`` for every valid corpus.
+lowercase tokens (grade levels as ``"C1"``-style tokens); every token decodes
+case-insensitively, ignoring surrounding whitespace. Canonical form fixes key
+order, sorts tools and studies by id, and indents with two spaces, so emitting
+is a fixed point and ``parse(emit(c)) == c`` for every valid corpus.
 
 Rater grade sheets and survey response sheets are flat CSV files.
 """
@@ -18,8 +18,8 @@ import json
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
+from functools import cache, cached_property
+from typing import AbstractSet, Any, Callable, Mapping, Optional, Sequence
 
 from .engine import MatchingRule, PolicyOverrides, QualityRule, TieFallback
 from .errors import (
@@ -180,6 +180,7 @@ def _require(obj: dict, key: str, path: str) -> Any:
     return obj[key]
 
 
+@cache
 def _enum_tokens(enum_cls) -> dict[str, Any]:
     return {member.value.lower(): member for member in enum_cls}
 
@@ -199,19 +200,25 @@ def _decode_enum_set(value: Any, enum_cls, path: str) -> frozenset:
 
 
 def _check_unknown(
-    obj: dict, allowed: Iterable[str], path: str, strict: bool, sink: _Collector
+    obj: dict, allowed: AbstractSet[str], path: str, strict: bool, sink: _Collector
 ) -> None:
-    for key in sorted(set(obj) - set(allowed)):
+    if obj.keys() <= allowed:
+        return
+    for key in sorted(obj.keys() - allowed):
         if strict:
             sink.error(SchemaError(f"{path}.{key}: unknown field"))
         else:
             sink.warn(f"{path}.{key}: unknown field ignored")
 
 
+#: Each flag map's keys in canonical order, and as a set for the unknown-key check.
+_FLAG_KEY_SETS = {keys: frozenset(keys) for keys in (MATCHING_FIELD_KEYS, QUALITY_FIELD_KEYS)}
+
+
 def _decode_flag_map(value: Any, allowed: Sequence[str], path: str,
                      strict: bool, sink: _Collector) -> dict[str, bool]:
     obj = _as_obj(value, path)
-    _check_unknown(obj, allowed, path, strict, sink)
+    _check_unknown(obj, _FLAG_KEY_SETS[allowed], path, strict, sink)
     return {
         key: _as_bool(obj[key], f"{path}.{key}") for key in allowed if key in obj
     }
@@ -248,6 +255,7 @@ _TOOL_KEYS = (
     "journal_rank",
 )
 
+_TOOL_KEY_SET = frozenset(_TOOL_KEYS)
 _TOOL_OPTIONAL = frozenset({"dedicated_support", "endorsement"})
 
 
@@ -265,7 +273,7 @@ def _positive(value: int, path: str) -> int:
 
 def _parse_tool(value: Any, path: str, strict: bool, sink: _Collector) -> ToolProfile:
     obj = _as_obj(value, path)
-    _check_unknown(obj, _TOOL_KEYS, path, strict, sink)
+    _check_unknown(obj, _TOOL_KEY_SET, path, strict, sink)
     for key in _TOOL_KEYS:
         if key not in _TOOL_OPTIONAL:
             _require(obj, key, path)
@@ -322,7 +330,7 @@ def _parse_tool(value: Any, path: str, strict: bool, sink: _Collector) -> ToolPr
 
 # --- studies ---
 
-_STUDY_KEYS = (
+_STUDY_KEYS = frozenset({
     "id",
     "tool_id",
     "citation",
@@ -341,7 +349,7 @@ _STUDY_KEYS = (
     "label",
     "sample_size",
     "notes",
-)
+})
 
 _STUDY_REQUIRED = (
     "id",
@@ -468,7 +476,7 @@ _POLICY_RULES = {
 def _parse_policy(value: Any, path: str, strict: bool,
                   sink: _Collector) -> Optional[PolicyOverrides]:
     obj = _as_obj(value, path)
-    _check_unknown(obj, _POLICY_RULES, path, strict, sink)
+    _check_unknown(obj, _POLICY_RULES.keys(), path, strict, sink)
     overrides = PolicyOverrides(**{
         key: _decode_enum(obj[key], rule, f"{path}.{key}")
         for key, rule in _POLICY_RULES.items()
@@ -479,7 +487,7 @@ def _parse_policy(value: Any, path: str, strict: bool,
 
 # --- whole-corpus parsing ---
 
-_TOP_KEYS = ("schema_version", "tools", "studies", "policy")
+_TOP_KEYS = frozenset({"schema_version", "tools", "studies", "policy"})
 
 
 def _cross_checks(
@@ -735,9 +743,6 @@ def _csv_rows(data: bytes | str, expected_header: tuple[str, str], what: str) ->
     return rows[1:]
 
 
-_GRADE_TOKENS = {level.value.lower(): level for level in GradeLevel}
-
-
 def parse_rater_sheet(data: bytes | str, *, name: str = "") -> RaterSheet:
     """Parse a ``tool_id,grade`` CSV; grade tokens decode case-insensitively."""
     grades: dict[str, GradeLevel] = {}
@@ -745,11 +750,11 @@ def parse_rater_sheet(data: bytes | str, *, name: str = "") -> RaterSheet:
         tool_id, token = row[0].strip(), row[1].strip()
         if not tool_id:
             raise SchemaError(f"rater sheet: line {lineno}: empty tool_id")
-        if token.lower() not in _GRADE_TOKENS:
+        if token.lower() not in _enum_tokens(GradeLevel):
             raise UnknownGrade(f"rater sheet: line {lineno}: unknown grade '{token}'")
         if tool_id in grades:
             raise DuplicateTool(f"rater sheet: line {lineno}: tool '{tool_id}' listed twice")
-        grades[tool_id] = _GRADE_TOKENS[token.lower()]
+        grades[tool_id] = _enum_tokens(GradeLevel)[token.lower()]
     return RaterSheet(name=name, grades=grades)
 
 

@@ -5,16 +5,19 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grasp.corpus import (
     Corpus,
+    _decode_enum,
     emit_corpus,
     load_corpus,
     parse_corpus,
     parse_rater_sheet,
     parse_survey_sheet,
 )
-from grasp.engine import MatchingRule, PolicyOverrides
+from grasp.engine import MatchingRule, PolicyOverrides, QualityRule, TieFallback
 from grasp.errors import (
     ConsistencyError,
     CorpusError,
@@ -26,7 +29,20 @@ from grasp.errors import (
     UnknownGrade,
     UnknownTool,
 )
-from grasp.model import GradeLevel, StudyDirection
+from grasp.model import (
+    Automation,
+    GradeLevel,
+    ImpactSubtype,
+    InputSource,
+    InputType,
+    MatchingVerdict,
+    OutcomeLabel,
+    Phase,
+    QualityVerdict,
+    StudyDirection,
+    StudyType,
+    ToolCategory,
+)
 from conftest import FIXTURES
 from gen import random_corpus
 
@@ -45,6 +61,83 @@ def _mutate_study(corpus_bytes, index, **changes):
         else:
             doc["studies"][index][key] = value
     return json.dumps(doc).encode()
+
+
+#: Every enumeration the corpus decoder reads.
+DECODED_ENUMS = (
+    ToolCategory, InputSource, InputType, Automation, Phase, StudyType, GradeLevel,
+    StudyDirection, MatchingVerdict, QualityVerdict, ImpactSubtype, OutcomeLabel,
+    MatchingRule, QualityRule, TieFallback,
+)
+
+#: The fields of each record kind that hold enum tokens (a list holds a set).
+ENUM_FIELDS = {
+    "tools": ("category", "automation", "input_source", "input_type"),
+    "studies": ("phase", "study_type", "level", "direction", "matching_override",
+                "quality_override", "impact_subtype", "label"),
+}
+
+
+def _spellings(token: str) -> tuple[str, ...]:
+    """Canonical, upper-case, lower-case and whitespace-padded spellings."""
+    return (token, token.upper(), token.lower(),
+            f" {token.capitalize()} ", f"\t{token.swapcase()}\n")
+
+
+FIXTURE_TEXT = (FIXTURES / "grasp8.json").read_text()
+
+#: Enum tokens in several spellings, plus tokens no enum has.
+_TOKENS = st.one_of(
+    st.sampled_from([member.value for cls in DECODED_ENUMS for member in cls]).flatmap(
+        lambda token: st.sampled_from(_spellings(token))),
+    st.sampled_from(["", "sideways", "D1", "B4"]),
+)
+
+#: Values of every JSON type, and values that decode but cannot be stored.
+_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3000), st.floats(),
+    st.just(10 ** 400), st.text(max_size=4), _TOKENS,
+    st.lists(_TOKENS, max_size=3), st.just({}),
+)
+
+#: Keys to add: fields some object may take, and one no object takes.
+_KEYS = st.sampled_from(sorted(
+    {key for record in json.loads(FIXTURE_TEXT)["studies"] for key in record}
+    | {"policy", "matching_rule", "quality_rule", "tie_fallback", "endorsement",
+       "data_collection_prospective", "colour"}
+))
+
+
+def _nodes(document: dict) -> list[tuple[tuple, object]]:
+    """Every (path, value) of a JSON tree below its root."""
+    found, index = [((), document)], 0
+    while index < len(found):
+        path, node = found[index]
+        index += 1
+        if isinstance(node, dict):
+            found.extend(((*path, key), child) for key, child in node.items())
+        elif isinstance(node, list):
+            found.extend(((*path, i), child) for i, child in enumerate(node))
+    return found[1:]
+
+
+def _apply_edit(data, document: dict) -> None:
+    """Replace a value, delete a key or add a key, at a drawn path below the root."""
+    # Positions are drawn as indexes: sampling from a list of ~1,200 nodes is slow.
+    nodes = _nodes(document)
+    path, _ = nodes[data.draw(st.integers(0, len(nodes) - 1), label="path")]
+    parent = document
+    for key in path[:-1]:
+        parent = parent[key]
+    edit = data.draw(st.sampled_from(("replace", "delete", "add")), label="edit")
+    if edit == "delete" and isinstance(parent, dict):
+        del parent[path[-1]]
+    elif edit == "add":
+        containers = [node for _, node in nodes if isinstance(node, dict)] + [document]
+        target = containers[data.draw(st.integers(0, len(containers) - 1), label="object")]
+        target[data.draw(_KEYS, label="key")] = data.draw(_VALUES, label="value")
+    else:
+        parent[path[-1]] = data.draw(_VALUES, label="value")
 
 
 class TestParse:
@@ -353,6 +446,77 @@ class TestFuzz:
                 parse_corpus(bytes(mutated))
             except CorpusError:
                 pass  # typed rejection is the only acceptable failure
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.data())
+    def test_tree_edits_are_rejected_by_path_or_round_trip(self, data):
+        document = json.loads(FIXTURE_TEXT)
+        for _ in range(data.draw(st.integers(1, 3), label="edits")):
+            _apply_edit(data, document)
+        text = json.dumps(document)
+        for strict in (True, False):
+            corpus, errors, _ = load_corpus(text, strict=strict)
+            if corpus is None:
+                assert errors and all(isinstance(e, CorpusError) for e in errors)
+                assert all(str(e).startswith("$") for e in errors), errors
+            else:
+                assert not errors
+                emitted = emit_corpus(corpus)
+                reparsed, _, _ = load_corpus(emitted, strict=strict)
+                assert reparsed == corpus and emit_corpus(reparsed) == emitted
+
+
+class TestEnumTokens:
+    @pytest.mark.parametrize("enum_cls", DECODED_ENUMS, ids=lambda cls: cls.__name__)
+    def test_every_member_decodes_from_each_spelling(self, enum_cls):
+        for member in enum_cls:
+            for token in _spellings(member.value):
+                assert _decode_enum(token, enum_cls, "$.x") is member
+
+    def test_unknown_token_lists_lowercase_tokens(self):
+        with pytest.raises(SchemaError) as err:
+            _decode_enum(" D1 ", GradeLevel, "$.x")
+        assert str(err.value) == (
+            "$.x: unknown token ' D1 '; expected one of: a1, a2, a3, b1, b2, b3, c0, c1, c2, c3"
+        )
+
+    def test_non_string_token(self):
+        with pytest.raises(SchemaError, match=r"^\$\.x: expected a string, got int$"):
+            _decode_enum(1, GradeLevel, "$.x")
+
+    def test_respelled_fixture_parses_and_emits_canonically(self, corpus8, corpus8_bytes):
+        def respell(value):
+            if isinstance(value, list):
+                return [respell(item) for item in value]
+            return f" {value.swapcase()} "
+
+        doc = _doc(corpus8_bytes)
+        for kind, fields in ENUM_FIELDS.items():
+            for record in doc[kind]:
+                for key in fields:
+                    if key in record:
+                        record[key] = respell(record[key])
+        assert '" POSITIVE "' in json.dumps(doc) and '" c3 "' in json.dumps(doc)
+        parsed = parse_corpus(json.dumps(doc).encode())
+        assert parsed == corpus8
+        assert emit_corpus(parsed) == corpus8_bytes
+
+        doc["policy"] = {
+            "matching_rule": " Ignore_Missing ",
+            "quality_rule": "MAJORITY_OF_FLAGS",
+            "tie_fallback": "fail_with_review_flag\n",
+        }
+        assert parse_corpus(json.dumps(doc).encode()).policy == PolicyOverrides(
+            matching_rule=MatchingRule.IGNORE_MISSING,
+            quality_rule=QualityRule.MAJORITY_OF_FLAGS,
+            tie_fallback=TieFallback.FAIL_WITH_REVIEW_FLAG,
+        )
+
+    @pytest.mark.parametrize("level", list(GradeLevel), ids=lambda level: level.value)
+    def test_rater_sheet_grade_spellings(self, level):
+        for token in _spellings(level.value):
+            sheet = parse_rater_sheet(f"tool_id,grade\nt,{token}\n".encode())
+            assert sheet.grades["t"] is level
 
 
 class TestRaterSheet:
