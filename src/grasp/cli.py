@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from datetime import datetime, timezone
 from enum import IntEnum
@@ -177,7 +178,19 @@ def _write_reports(
             text = json.dumps(report.body, indent=2, ensure_ascii=False) + "\n"
         else:
             text = str(report.body)
-        (directory / f"{tool.id}{suffix}").write_text(text)
+        _write_atomically(directory / f"{tool.id}{suffix}", text)
+
+
+def _write_atomically(path: Path, text: str) -> None:
+    """Write through a temporary file beside ``path``, so a failed write
+    leaves any earlier file there intact and no partial file behind."""
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        temporary.write_text(text)
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
 
 
 def _cmd_grade(args: argparse.Namespace) -> int:

@@ -3,9 +3,11 @@
 A corpus is a UTF-8 JSON document with top-level keys ``schema_version``,
 ``tools``, ``studies``, and optional ``policy``. Enumerations are encoded as
 lowercase tokens (grade levels as ``"C1"``-style tokens); every token decodes
-case-insensitively, ignoring surrounding whitespace. Canonical form fixes key
-order, sorts tools and studies by id, and indents with two spaces, so emitting
-is a fixed point and ``parse(emit(c)) == c`` for every valid corpus.
+case-insensitively, ignoring surrounding whitespace. A record's fields are
+checked in canonical key order, and the first bad field is the one reported.
+Canonical form fixes key order, sorts tools and studies by id, and indents
+with two spaces, so emitting is a fixed point and ``parse(emit(c)) == c`` for
+every valid corpus.
 
 Rater grade sheets and survey response sheets are flat CSV files.
 """
@@ -19,6 +21,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
+from operator import attrgetter
 from typing import AbstractSet, Any, Callable, Mapping, Optional, Sequence
 
 from .engine import MatchingRule, PolicyOverrides, QualityRule, TieFallback
@@ -101,16 +104,18 @@ class RaterSheet:
 
 
 class _Collector:
-    """Error sink: raises immediately or accumulates for a full listing."""
+    """Error sink of one load: accumulates errors and warnings for a full listing.
 
-    def __init__(self, collect: bool):
-        self.collect = collect
+    ``strict`` decides whether unknown fields and a wrong ``studies_count``
+    are errors or warnings.
+    """
+
+    def __init__(self, strict: bool):
+        self.strict = strict
         self.errors: list[CorpusError] = []
         self.warnings: list[str] = []
 
     def error(self, exc: CorpusError) -> None:
-        if not self.collect:
-            raise exc
         self.errors.append(exc)
 
     def warn(self, message: str) -> None:
@@ -185,183 +190,215 @@ def _enum_tokens(enum_cls) -> dict[str, Any]:
     return {member.value.lower(): member for member in enum_cls}
 
 
-def _decode_enum(value: Any, enum_cls, path: str):
-    token = _as_str(value, path).strip().lower()
-    members = _enum_tokens(enum_cls)
-    if token not in members:
-        allowed = ", ".join(sorted(members))
-        raise SchemaError(f"{path}: unknown token {value!r}; expected one of: {allowed}")
-    return members[token]
-
-
-def _decode_enum_set(value: Any, enum_cls, path: str) -> frozenset:
-    items = _as_list(value, path)
-    return frozenset(_decode_enum(item, enum_cls, f"{path}[{i}]") for i, item in enumerate(items))
-
-
-def _check_unknown(
-    obj: dict, allowed: AbstractSet[str], path: str, strict: bool, sink: _Collector
-) -> None:
+def _check_unknown(obj: dict, allowed: AbstractSet[str], path: str, sink: _Collector) -> None:
     if obj.keys() <= allowed:
         return
     for key in sorted(obj.keys() - allowed):
-        if strict:
+        if sink.strict:
             sink.error(SchemaError(f"{path}.{key}: unknown field"))
         else:
             sink.warn(f"{path}.{key}: unknown field ignored")
 
 
-#: Each flag map's keys in canonical order, and as a set for the unknown-key check.
-_FLAG_KEY_SETS = {keys: frozenset(keys) for keys in (MATCHING_FIELD_KEYS, QUALITY_FIELD_KEYS)}
+# --- field codecs: a (decode, encode) pair per kind of JSON value ---
+#
+# ``decode(value, path, sink)`` returns the model value or raises a
+# CorpusError naming ``path``. ``encode(model_value)`` returns the JSON value,
+# or None to leave the key out; a None model value is never encoded.
+
+_Codec = tuple[Callable[[Any, str, Optional[_Collector]], Any], Callable[[Any], Any]]
 
 
-def _decode_flag_map(value: Any, allowed: Sequence[str], path: str,
-                     strict: bool, sink: _Collector) -> dict[str, bool]:
-    obj = _as_obj(value, path)
-    _check_unknown(obj, _FLAG_KEY_SETS[allowed], path, strict, sink)
-    return {
-        key: _as_bool(obj[key], f"{path}.{key}") for key in allowed if key in obj
-    }
+def _same(value: Any) -> Any:
+    return value
 
 
-# --- tools ---
+def _scalar(type_check: Callable[[Any, str], Any]) -> _Codec:
+    return (lambda value, path, sink: type_check(value, path)), _same
 
-_TOOL_KEYS = (
-    "id",
-    "name",
-    "author",
-    "country",
-    "year",
-    "category",
-    "intended_use",
-    "intended_user",
-    "clinical_area",
-    "target_population",
-    "target_outcome",
-    "action",
-    "input_source",
-    "input_type",
-    "local_context",
-    "methodology",
-    "internal_validation_method",
-    "dedicated_support",
-    "endorsement",
-    "automation",
-    "tool_citations",
-    "studies_count",
-    "authors_count",
-    "sample_size",
-    "journal_name",
-    "journal_rank",
+
+def _at_least(type_check: Callable[[Any, str], Any], low: int, word: str) -> _Codec:
+    def decode(value: Any, path: str, sink: _Collector):
+        value = type_check(value, path)
+        if value < low:
+            raise SchemaError(f"{path}: must be {word}, got {value}")
+        return value
+    return decode, _same
+
+
+@cache
+def _enum(enum_cls) -> _Codec:
+    """Tokens decode case-insensitively, ignoring surrounding whitespace."""
+    members = _enum_tokens(enum_cls)
+
+    def decode(value: Any, path: str, sink: Optional[_Collector]):
+        token = _as_str(value, path).strip().lower()
+        if token not in members:
+            allowed = ", ".join(sorted(members))
+            raise SchemaError(f"{path}: unknown token {value!r}; expected one of: {allowed}")
+        return members[token]
+
+    return decode, attrgetter("value")
+
+
+def _decode_enum(value: Any, enum_cls, path: str):
+    decode, _ = _enum(enum_cls)
+    return decode(value, path, None)
+
+
+def _enum_set(enum_cls, noun: Optional[str] = None) -> _Codec:
+    """Tokens written in declaration order. With ``noun`` the set must name at
+    least one member; without, an empty set is the default and is left out."""
+    decode_item, _ = _enum(enum_cls)
+    order = {member: i for i, member in enumerate(enum_cls)}
+
+    def decode(value: Any, path: str, sink: _Collector) -> frozenset:
+        items = _as_list(value, path)
+        members = frozenset(
+            decode_item(item, f"{path}[{i}]", sink) for i, item in enumerate(items)
+        )
+        if noun and not members:
+            raise SchemaError(f"{path}: must name at least one {noun}")
+        return members
+
+    def encode(members: frozenset) -> Optional[list[str]]:
+        tokens = [member.value for member in sorted(members, key=order.__getitem__)]
+        return tokens if tokens or noun else None
+
+    return decode, encode
+
+
+def _flags(keys: Sequence[str]) -> _Codec:
+    """A map of boolean flags with known keys, written in ``keys`` order; an
+    empty map is the default and is left out."""
+    allowed = frozenset(keys)
+
+    def decode(value: Any, path: str, sink: _Collector) -> dict[str, bool]:
+        obj = _as_obj(value, path)
+        _check_unknown(obj, allowed, path, sink)
+        return {key: _as_bool(obj[key], f"{path}.{key}") for key in keys if key in obj}
+
+    def encode(flags: Mapping[str, bool]) -> Optional[dict[str, bool]]:
+        return {key: flags[key] for key in keys if key in flags} or None
+
+    return decode, encode
+
+
+_STR, _INT, _BOOL = _scalar(_as_str), _scalar(_as_int), _scalar(_as_bool)
+_COUNT = _at_least(_as_int, 0, "non-negative")
+_POSITIVE = _at_least(_as_int, 1, "positive")
+
+
+# --- record tables: one entry per JSON key, in canonical order ---
+
+
+class _Field:
+    """One JSON key of a record and the model attribute it fills."""
+
+    def __init__(self, key: str, decode: Callable, encode: Callable,
+                 required: bool = True, attr: Optional[str] = None):
+        self.key, self.decode, self.encode = key, decode, encode
+        self.required, self.attr = required, attr or key
+
+
+class _Table:
+    """A record type's fields, with the lookups decoding needs built once."""
+
+    def __init__(self, model: type, *fields: _Field):
+        self.model = model
+        self.fields = fields
+        self.keys = frozenset(f.key for f in fields)
+        self.required = tuple(f.key for f in fields if f.required)
+        self.decoders = tuple((f.key, f.attr, f.decode) for f in fields)
+        self.encoders = tuple((f.key, f.encode) for f in fields)
+        self.values = attrgetter(*(f.attr for f in fields))
+
+
+_TOOL_TABLE = _Table(
+    ToolProfile,
+    _Field("id", *_STR),
+    _Field("name", *_STR),
+    _Field("author", *_STR),
+    _Field("country", *_STR),
+    _Field("year", *_INT),
+    _Field("category", *_enum(ToolCategory)),
+    _Field("intended_use", *_STR),
+    _Field("intended_user", *_STR),
+    _Field("clinical_area", *_STR),
+    _Field("target_population", *_STR),
+    _Field("target_outcome", *_STR),
+    _Field("action", *_STR),
+    _Field("input_source", *_enum_set(InputSource, "source")),
+    _Field("input_type", *_enum_set(InputType, "type")),
+    _Field("local_context", *_BOOL),
+    _Field("methodology", *_STR),
+    _Field("internal_validation_method", *_STR),
+    _Field("dedicated_support", *_STR, required=False),
+    _Field("endorsement", *_STR, required=False),
+    _Field("automation", *_enum(Automation)),
+    _Field("tool_citations", *_COUNT),
+    _Field("studies_count", *_COUNT),
+    _Field("authors_count", *_POSITIVE),
+    _Field("sample_size", *_POSITIVE),
+    _Field("journal_name", *_STR),
+    _Field("journal_rank", *_at_least(_as_number, 0, "non-negative")),
 )
 
-_TOOL_KEY_SET = frozenset(_TOOL_KEYS)
-_TOOL_OPTIONAL = frozenset({"dedicated_support", "endorsement"})
+_STUDY_TABLE = _Table(
+    StudyRecord,
+    _Field("id", *_STR),
+    _Field("tool_id", *_STR),
+    _Field("citation", *_STR),
+    _Field("country", *_STR),
+    _Field("year", *_INT),
+    _Field("phase", *_enum(Phase)),
+    _Field("study_type", *_enum(StudyType)),
+    _Field("comparative", *_BOOL),
+    _Field("level", *_enum(GradeLevel), required=False),
+    _Field("direction", *_enum(StudyDirection)),
+    _Field("matching_fields", *_flags(MATCHING_FIELD_KEYS), required=False),
+    _Field("quality_fields", *_flags(QUALITY_FIELD_KEYS), required=False),
+    _Field("matching_override", *_enum(MatchingVerdict), required=False),
+    _Field("quality_override", *_enum(QualityVerdict), required=False),
+    _Field("impact_subtype", *_enum(ImpactSubtype), required=False),
+    _Field("label", *_enum_set(OutcomeLabel), required=False, attr="labels"),
+    _Field("sample_size", *_POSITIVE, required=False),
+    _Field("notes", *_STR, required=False),
+)
+
+_POLICY_TABLE = _Table(
+    PolicyOverrides,
+    _Field("matching_rule", *_enum(MatchingRule), required=False),
+    _Field("quality_rule", *_enum(QualityRule), required=False),
+    _Field("tie_fallback", *_enum(TieFallback), required=False),
+)
 
 
-def _nonneg(value: int, path: str) -> int:
-    if value < 0:
-        raise SchemaError(f"{path}: must be non-negative, got {value}")
-    return value
-
-
-def _positive(value: int, path: str) -> int:
-    if value < 1:
-        raise SchemaError(f"{path}: must be positive, got {value}")
-    return value
-
-
-def _parse_tool(value: Any, path: str, strict: bool, sink: _Collector) -> ToolProfile:
+def _decode_record(value: Any, path: str, table: _Table, sink: _Collector):
+    """Unknown keys go to the sink; a missing required key or the first bad
+    field, in canonical key order, raises. Absent optional keys take the
+    model's default."""
     obj = _as_obj(value, path)
-    _check_unknown(obj, _TOOL_KEY_SET, path, strict, sink)
-    for key in _TOOL_KEYS:
-        if key not in _TOOL_OPTIONAL:
-            _require(obj, key, path)
+    _check_unknown(obj, table.keys, path, sink)
+    for key in table.required:
+        if key not in obj:
+            raise SchemaError(f"{path}.{key}: required field is missing")
+    return table.model(**{
+        attr: decode(obj[key], f"{path}.{key}", sink)
+        for key, attr, decode in table.decoders
+        if key in obj
+    })
 
-    def opt_str(key: str) -> Optional[str]:
-        return _as_str(obj[key], f"{path}.{key}") if key in obj else None
 
-    input_source = _decode_enum_set(obj["input_source"], InputSource, f"{path}.input_source")
-    input_type = _decode_enum_set(obj["input_type"], InputType, f"{path}.input_type")
-    if not input_source:
-        raise SchemaError(f"{path}.input_source: must name at least one source")
-    if not input_type:
-        raise SchemaError(f"{path}.input_type: must name at least one type")
-
-    rank = _as_number(obj["journal_rank"], f"{path}.journal_rank")
-    if rank < 0:
-        raise SchemaError(f"{path}.journal_rank: must be non-negative, got {rank}")
-
-    return ToolProfile(
-        id=_as_str(obj["id"], f"{path}.id"),
-        name=_as_str(obj["name"], f"{path}.name"),
-        author=_as_str(obj["author"], f"{path}.author"),
-        country=_as_str(obj["country"], f"{path}.country"),
-        year=_as_int(obj["year"], f"{path}.year"),
-        category=_decode_enum(obj["category"], ToolCategory, f"{path}.category"),
-        intended_use=_as_str(obj["intended_use"], f"{path}.intended_use"),
-        intended_user=_as_str(obj["intended_user"], f"{path}.intended_user"),
-        clinical_area=_as_str(obj["clinical_area"], f"{path}.clinical_area"),
-        target_population=_as_str(obj["target_population"], f"{path}.target_population"),
-        target_outcome=_as_str(obj["target_outcome"], f"{path}.target_outcome"),
-        action=_as_str(obj["action"], f"{path}.action"),
-        input_source=input_source,
-        input_type=input_type,
-        local_context=_as_bool(obj["local_context"], f"{path}.local_context"),
-        methodology=_as_str(obj["methodology"], f"{path}.methodology"),
-        internal_validation_method=_as_str(
-            obj["internal_validation_method"], f"{path}.internal_validation_method"
-        ),
-        dedicated_support=opt_str("dedicated_support"),
-        endorsement=opt_str("endorsement"),
-        automation=_decode_enum(obj["automation"], Automation, f"{path}.automation"),
-        tool_citations=_nonneg(_as_int(obj["tool_citations"], f"{path}.tool_citations"),
-                               f"{path}.tool_citations"),
-        studies_count=_nonneg(_as_int(obj["studies_count"], f"{path}.studies_count"),
-                              f"{path}.studies_count"),
-        authors_count=_positive(_as_int(obj["authors_count"], f"{path}.authors_count"),
-                                f"{path}.authors_count"),
-        sample_size=_positive(_as_int(obj["sample_size"], f"{path}.sample_size"),
-                              f"{path}.sample_size"),
-        journal_name=_as_str(obj["journal_name"], f"{path}.journal_name"),
-        journal_rank=rank,
-    )
+def _encode_record(table: _Table, record: Any) -> dict:
+    obj = {}
+    for (key, encode), value in zip(table.encoders, table.values(record)):
+        if value is not None and (value := encode(value)) is not None:
+            obj[key] = value
+    return obj
 
 
 # --- studies ---
-
-_STUDY_KEYS = frozenset({
-    "id",
-    "tool_id",
-    "citation",
-    "country",
-    "year",
-    "phase",
-    "study_type",
-    "comparative",
-    "level",
-    "direction",
-    "matching_fields",
-    "quality_fields",
-    "matching_override",
-    "quality_override",
-    "impact_subtype",
-    "label",
-    "sample_size",
-    "notes",
-})
-
-_STUDY_REQUIRED = (
-    "id",
-    "tool_id",
-    "citation",
-    "country",
-    "year",
-    "phase",
-    "study_type",
-    "comparative",
-    "direction",
-)
 
 
 def _study_consistency(study: StudyRecord, path: str) -> None:
@@ -403,88 +440,6 @@ def _study_consistency(study: StudyRecord, path: str) -> None:
         )
 
 
-def _parse_study(value: Any, path: str, strict: bool, sink: _Collector) -> StudyRecord:
-    obj = _as_obj(value, path)
-    _check_unknown(obj, _STUDY_KEYS, path, strict, sink)
-    for key in _STUDY_REQUIRED:
-        _require(obj, key, path)
-
-    level = (
-        _decode_enum(obj["level"], GradeLevel, f"{path}.level") if "level" in obj else None
-    )
-    sample_size = (
-        _positive(_as_int(obj["sample_size"], f"{path}.sample_size"), f"{path}.sample_size")
-        if "sample_size" in obj
-        else None
-    )
-    study = StudyRecord(
-        id=_as_str(obj["id"], f"{path}.id"),
-        tool_id=_as_str(obj["tool_id"], f"{path}.tool_id"),
-        citation=_as_str(obj["citation"], f"{path}.citation"),
-        country=_as_str(obj["country"], f"{path}.country"),
-        year=_as_int(obj["year"], f"{path}.year"),
-        phase=_decode_enum(obj["phase"], Phase, f"{path}.phase"),
-        study_type=_decode_enum(obj["study_type"], StudyType, f"{path}.study_type"),
-        comparative=_as_bool(obj["comparative"], f"{path}.comparative"),
-        level=level,
-        direction=_decode_enum(obj["direction"], StudyDirection, f"{path}.direction"),
-        matching_fields=_decode_flag_map(
-            obj.get("matching_fields", {}), MATCHING_FIELD_KEYS,
-            f"{path}.matching_fields", strict, sink,
-        ),
-        quality_fields=_decode_flag_map(
-            obj.get("quality_fields", {}), QUALITY_FIELD_KEYS,
-            f"{path}.quality_fields", strict, sink,
-        ),
-        matching_override=(
-            _decode_enum(obj["matching_override"], MatchingVerdict, f"{path}.matching_override")
-            if "matching_override" in obj
-            else None
-        ),
-        quality_override=(
-            _decode_enum(obj["quality_override"], QualityVerdict, f"{path}.quality_override")
-            if "quality_override" in obj
-            else None
-        ),
-        impact_subtype=(
-            _decode_enum(obj["impact_subtype"], ImpactSubtype, f"{path}.impact_subtype")
-            if "impact_subtype" in obj
-            else None
-        ),
-        labels=(
-            _decode_enum_set(obj["label"], OutcomeLabel, f"{path}.label")
-            if "label" in obj
-            else frozenset()
-        ),
-        sample_size=sample_size,
-        notes=_as_str(obj["notes"], f"{path}.notes") if "notes" in obj else None,
-    )
-    _study_consistency(study, path)
-    return study
-
-
-# --- policy ---
-
-#: Policy block keys and the rule each one sets.
-_POLICY_RULES = {
-    "matching_rule": MatchingRule,
-    "quality_rule": QualityRule,
-    "tie_fallback": TieFallback,
-}
-
-
-def _parse_policy(value: Any, path: str, strict: bool,
-                  sink: _Collector) -> Optional[PolicyOverrides]:
-    obj = _as_obj(value, path)
-    _check_unknown(obj, _POLICY_RULES.keys(), path, strict, sink)
-    overrides = PolicyOverrides(**{
-        key: _decode_enum(obj[key], rule, f"{path}.{key}")
-        for key, rule in _POLICY_RULES.items()
-        if key in obj
-    })
-    return None if overrides == PolicyOverrides() else overrides
-
-
 # --- whole-corpus parsing ---
 
 _TOP_KEYS = frozenset({"schema_version", "tools", "studies", "policy"})
@@ -493,7 +448,6 @@ _TOP_KEYS = frozenset({"schema_version", "tools", "studies", "policy"})
 def _cross_checks(
     tools: list[tuple[str, ToolProfile]],
     studies: list[tuple[str, StudyRecord]],
-    strict: bool,
     sink: _Collector,
 ) -> None:
     seen_tools: dict[str, str] = {}
@@ -535,7 +489,7 @@ def _cross_checks(
                 f"{tool_path}.studies_count: declared {tool.studies_count} but"
                 f" {len(attached)} study records reference '{tool.id}'"
             )
-            if strict:
+            if sink.strict:
                 sink.error(ConsistencyError(message))
             else:
                 sink.warn(message)
@@ -550,7 +504,7 @@ def load_corpus(
     error was recorded. Arbitrary byte input never raises, it only yields
     typed errors in the list.
     """
-    sink = _Collector(collect=True)
+    sink = _Collector(strict)
     try:
         text = data.decode("utf-8") if isinstance(data, bytes) else data
     except UnicodeDecodeError as exc:
@@ -568,7 +522,7 @@ def load_corpus(
 
     try:
         top = _as_obj(document, "$")
-        _check_unknown(top, _TOP_KEYS, "$", strict, sink)
+        _check_unknown(top, _TOP_KEYS, "$", sink)
         version = _as_str(_require(top, "schema_version", "$"), "$.schema_version")
         if version != SCHEMA_VERSION:
             raise SchemaError(
@@ -583,25 +537,29 @@ def load_corpus(
     for i, raw in enumerate(raw_tools):
         path = f"$.tools[{i}]"
         try:
-            tools.append((path, _parse_tool(raw, path, strict, sink)))
+            tools.append((path, _decode_record(raw, path, _TOOL_TABLE, sink)))
         except CorpusError as exc:
             sink.error(exc)
     studies: list[tuple[str, StudyRecord]] = []
     for i, raw in enumerate(raw_studies):
         path = f"$.studies[{i}]"
         try:
-            studies.append((path, _parse_study(raw, path, strict, sink)))
+            study = _decode_record(raw, path, _STUDY_TABLE, sink)
+            _study_consistency(study, path)
+            studies.append((path, study))
         except CorpusError as exc:
             sink.error(exc)
 
     policy = None
     if "policy" in top:
         try:
-            policy = _parse_policy(top["policy"], "$.policy", strict, sink)
+            policy = _decode_record(top["policy"], "$.policy", _POLICY_TABLE, sink)
         except CorpusError as exc:
             sink.error(exc)
+        if policy == PolicyOverrides():
+            policy = None
 
-    _cross_checks(tools, studies, strict, sink)
+    _cross_checks(tools, studies, sink)
     if sink.errors:
         return None, sink.errors, sink.warnings
 
@@ -633,75 +591,14 @@ def parse_corpus(
 # --- canonical serialization ---
 
 
-def _sorted_enum_values(values, enum_cls) -> list[str]:
-    order = list(enum_cls)
-    return [member.value for member in sorted(values, key=order.index)]
-
-
 def tool_to_obj(tool: ToolProfile) -> dict:
     """Tool as a JSON-ready mapping in canonical key order (optionals omitted)."""
-    obj = {
-        "id": tool.id,
-        "name": tool.name,
-        "author": tool.author,
-        "country": tool.country,
-        "year": tool.year,
-        "category": tool.category.value,
-        "intended_use": tool.intended_use,
-        "intended_user": tool.intended_user,
-        "clinical_area": tool.clinical_area,
-        "target_population": tool.target_population,
-        "target_outcome": tool.target_outcome,
-        "action": tool.action,
-        "input_source": _sorted_enum_values(tool.input_source, InputSource),
-        "input_type": _sorted_enum_values(tool.input_type, InputType),
-        "local_context": tool.local_context,
-        "methodology": tool.methodology,
-        "internal_validation_method": tool.internal_validation_method,
-        "dedicated_support": tool.dedicated_support,
-        "endorsement": tool.endorsement,
-        "automation": tool.automation.value,
-        "tool_citations": tool.tool_citations,
-        "studies_count": tool.studies_count,
-        "authors_count": tool.authors_count,
-        "sample_size": tool.sample_size,
-        "journal_name": tool.journal_name,
-        "journal_rank": tool.journal_rank,
-    }
-    return {k: v for k, v in obj.items() if v is not None}
+    return _encode_record(_TOOL_TABLE, tool)
 
 
 def study_to_obj(study: StudyRecord) -> dict:
     """Study as a JSON-ready mapping in canonical key order (optionals omitted)."""
-    obj = {
-        "id": study.id,
-        "tool_id": study.tool_id,
-        "citation": study.citation,
-        "country": study.country,
-        "year": study.year,
-        "phase": study.phase.value,
-        "study_type": study.study_type.value,
-        "comparative": study.comparative,
-        "level": study.level.value if study.level else None,
-        "direction": study.direction.value,
-        "matching_fields": {
-            key: study.matching_fields[key]
-            for key in MATCHING_FIELD_KEYS
-            if key in study.matching_fields
-        } or None,
-        "quality_fields": {
-            key: study.quality_fields[key]
-            for key in QUALITY_FIELD_KEYS
-            if key in study.quality_fields
-        } or None,
-        "matching_override": study.matching_override.value if study.matching_override else None,
-        "quality_override": study.quality_override.value if study.quality_override else None,
-        "impact_subtype": study.impact_subtype.value if study.impact_subtype else None,
-        "label": _sorted_enum_values(study.labels, OutcomeLabel) or None,
-        "sample_size": study.sample_size,
-        "notes": study.notes,
-    }
-    return {k: v for k, v in obj.items() if v is not None}
+    return _encode_record(_STUDY_TABLE, study)
 
 
 def emit_corpus(corpus: Corpus) -> bytes:
@@ -711,9 +608,8 @@ def emit_corpus(corpus: Corpus) -> bytes:
         "tools": [tool_to_obj(t) for t in sorted(corpus.tools, key=lambda t: t.id)],
         "studies": [study_to_obj(s) for s in sorted(corpus.studies, key=lambda s: s.id)],
     }
-    if corpus.policy is not None and corpus.policy != PolicyOverrides():
-        rules = {key: getattr(corpus.policy, key) for key in _POLICY_RULES}
-        document["policy"] = {key: rule.value for key, rule in rules.items() if rule is not None}
+    if corpus.policy is not None and (policy := _encode_record(_POLICY_TABLE, corpus.policy)):
+        document["policy"] = policy
     text = json.dumps(document, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
     return text.encode("utf-8")
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -338,6 +339,24 @@ class TestReportContainment:
         code, _, _ = run(capsys, "grade", corpus, "--report", str(tmp_path / "out"))
         assert code == 0
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["+first.md", "..dots.md"]
+
+
+class TestAtomicReportWrites:
+    def test_failed_write_keeps_the_old_report(self, capsys, monkeypatch, tmp_path):
+        out_dir = tmp_path / "out"
+        assert run(capsys, "grade", CORPUS, "--report", str(out_dir))[0] == 0
+        before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+
+        def write_half_then_fail(path, text, *args, **kwargs):
+            with open(path, "w") as handle:
+                handle.write(text[: len(text) // 2])
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+        code, _, err = run(capsys, "grade", CORPUS, "--report", str(out_dir))
+        assert code == 1
+        assert "No space left on device" in err
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
 
 
 class TestNonFiniteNumbers:

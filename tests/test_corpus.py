@@ -1,14 +1,23 @@
 from __future__ import annotations
 
+import dataclasses
 import json
+import os
 import random
+import shutil
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grasp.corpus import (
+    _POLICY_TABLE,
+    _STUDY_TABLE,
+    _TOOL_TABLE,
     Corpus,
     _decode_enum,
     emit_corpus,
@@ -40,8 +49,10 @@ from grasp.model import (
     Phase,
     QualityVerdict,
     StudyDirection,
+    StudyRecord,
     StudyType,
     ToolCategory,
+    ToolProfile,
 )
 from conftest import FIXTURES
 from gen import random_corpus
@@ -383,6 +394,42 @@ class TestParse:
         assert str(errors[0]) == f"$.studies[{index}].matching_fields.predictive_task: duplicate field"
 
 
+class TestFieldOrder:
+    """A record's fields are checked in canonical key order; the first bad one is reported."""
+
+    def test_tool_reports_its_first_bad_field(self, corpus8_bytes):
+        doc = _doc(corpus8_bytes)
+        doc["tools"][0].update(name=7, input_source="clinical")
+        _, errors, _ = load_corpus(json.dumps(doc))
+        assert str(errors[0]) == "$.tools[0].name: expected a string, got int"
+
+    def test_study_reports_its_first_bad_field(self, corpus8_bytes):
+        data = _mutate_study(corpus8_bytes, 0, country=False, level="Z9")
+        _, errors, _ = load_corpus(data)
+        assert str(errors[0]) == "$.studies[0].country: expected a string, got bool"
+
+    def test_unknown_flag_before_a_bad_field_is_listed(self, corpus8_bytes):
+        doc = _doc(corpus8_bytes)
+        index = next(i for i, s in enumerate(doc["studies"]) if "matching_fields" in s)
+        doc["studies"][index]["matching_fields"]["colour"] = True
+        doc["studies"][index]["sample_size"] = 0
+        _, errors, _ = load_corpus(json.dumps(doc), strict=True)
+        assert [str(e) for e in errors[:2]] == [
+            f"$.studies[{index}].matching_fields.colour: unknown field",
+            f"$.studies[{index}].sample_size: must be positive, got 0",
+        ]
+
+
+@pytest.mark.parametrize("table, model", [
+    (_TOOL_TABLE, ToolProfile), (_STUDY_TABLE, StudyRecord), (_POLICY_TABLE, PolicyOverrides),
+])
+def test_field_table_covers_the_model(table, model):
+    # A model field without a table entry would never be read or written.
+    assert table.model is model
+    assert {f.attr for f in table.fields} == {f.name for f in dataclasses.fields(model)}
+    assert len(table.keys) == len(table.fields)
+
+
 class TestEmit:
     def test_emit_is_a_fixed_point_on_the_fixture(self, corpus8, corpus8_bytes):
         assert emit_corpus(corpus8) == corpus8_bytes
@@ -425,6 +472,23 @@ class TestEmit:
             emitted = emit_corpus(corpus)
             assert parse_corpus(emitted) == corpus
             assert emit_corpus(parse_corpus(emitted)) == emitted
+
+    def test_fixture_builder_reproduces_the_fixtures(self, tmp_path):
+        # The builder emits records made in code, never parsed, e.g. an empty flag map.
+        root = Path(__file__).resolve().parent.parent
+        (tmp_path / "scripts").mkdir()
+        (tmp_path / "fixtures").mkdir()
+        shutil.copy(root / "scripts" / "build_fixtures.py", tmp_path / "scripts")
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        subprocess.run([sys.executable, str(tmp_path / "scripts" / "build_fixtures.py")],
+                       env=env, check=True, capture_output=True)
+        built = {p.relative_to(tmp_path / "fixtures"): p.read_bytes()
+                 for p in (tmp_path / "fixtures").rglob("*") if p.is_file()}
+        shipped = {p.relative_to(FIXTURES): p.read_bytes()
+                   for p in FIXTURES.rglob("*") if p.is_file()}
+        assert built.keys() == shipped.keys()
+        for name, data in shipped.items():
+            assert built[name] == data, name
 
 
 class TestFuzz:
