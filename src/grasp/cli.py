@@ -186,7 +186,7 @@ def _write_atomically(path: Path, text: str) -> None:
     leaves any earlier file there intact and no partial file behind."""
     temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        temporary.write_text(text)
+        temporary.write_text(text, encoding="utf-8")
         os.replace(temporary, path)
     except BaseException:
         temporary.unlink(missing_ok=True)

@@ -14,7 +14,7 @@ tools in parallel needs no coordination.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
@@ -27,8 +27,10 @@ from .errors import (
     UnresolvableQuality,
 )
 from .model import (
+    ADJUDICATION_STEPS,
     GRADE_SCAN_ORDER,
     MATCHING_FIELD_KEYS,
+    Adjudication,
     BucketDirection,
     EvidenceBucket,
     EvidenceClass,
@@ -191,7 +193,7 @@ def _is_positive(direction: StudyDirection) -> bool:
 
 def mixed_protocol(
     studies: Sequence[StudyRecord], tool: ToolProfile, policy: AppraisalPolicy
-) -> tuple[BucketDirection, bool, tuple[str, ...]]:
+) -> tuple[BucketDirection, bool, Adjudication]:
     """Adjudicate a bucket holding both positive and non-positive conclusions.
 
     Studies are partitioned into classes A/B/C by matching and quality. The
@@ -202,7 +204,8 @@ def mixed_protocol(
     back to the policy: conservative mixed-negative with a review flag, or an
     AdjudicationRequired error.
 
-    Returns (direction, needs_review, trace); the trace records every step.
+    Returns (direction, needs_review, record); the record holds the class
+    tallies and the deciding step, None when the fallback fired.
     """
     positives = [s for s in studies if _is_positive(s.direction)]
     if not positives or len(positives) == len(studies):
@@ -213,36 +216,20 @@ def mixed_protocol(
         cls = appraise_study(record, policy).evidence_class
         tally[cls][0 if _is_positive(record.direction) else 1] += 1
 
-    trace = [
-        "mixed evidence: "
-        + ", ".join(
-            f"class {c.value}: {tally[c][0]} positive / {tally[c][1]} negative-or-equivocal"
-            for c in EvidenceClass
-        )
-    ]
-    widenings = (
-        ((EvidenceClass.A,), "class A"),
-        ((EvidenceClass.A, EvidenceClass.B), "classes A+B"),
-        (tuple(EvidenceClass), "all classes"),
-    )
-    for group, label in widenings:
-        pos = sum(tally[c][0] for c in group)
-        neg = sum(tally[c][1] for c in group)
-        if pos + neg == 0 or pos == neg:
-            trace.append(f"{label}: tied or empty ({pos} vs {neg}); widening")
-            continue
-        direction = (
-            BucketDirection.MIXED_POSITIVE if pos > neg else BucketDirection.MIXED_NEGATIVE
-        )
-        trace.append(f"{label}: majority decides {direction.value} ({pos} vs {neg})")
-        return direction, False, tuple(trace)
+    undecided = Adjudication(tuple((pos, neg) for pos, neg in tally.values()), None)
+    for step in range(len(ADJUDICATION_STEPS)):
+        pos, neg = undecided.counts(step)
+        if pos != neg:
+            direction = (
+                BucketDirection.MIXED_POSITIVE if pos > neg else BucketDirection.MIXED_NEGATIVE
+            )
+            return direction, False, Adjudication(undecided.tallies, step)
 
     if policy.tie_fallback is TieFallback.FAIL_WITH_REVIEW_FLAG:
         raise AdjudicationRequired(
             f"tool '{tool.id}': mixed evidence tied at every step; manual adjudication required"
         )
-    trace.append("full tie: conservative fallback to mixed_negative, flagged for review")
-    return BucketDirection.MIXED_NEGATIVE, True, tuple(trace)
+    return BucketDirection.MIXED_NEGATIVE, True, undecided
 
 
 def aggregate_bucket(
@@ -265,14 +252,13 @@ def aggregate_bucket(
     ordered = tuple(sorted(studies, key=lambda s: s.id))
 
     n_pos = sum(_is_positive(s.direction) for s in ordered)
+    record: Optional[Adjudication] = None
     if n_pos == len(ordered):
         direction, needs_review = BucketDirection.POSITIVE, False
-        trace: tuple[str, ...] = (f"all {len(ordered)} studies positive",)
     elif n_pos == 0:
         direction, needs_review = BucketDirection.NEGATIVE, False
-        trace = (f"all {len(ordered)} studies negative or equivocal",)
     else:
-        direction, needs_review, trace = mixed_protocol(ordered, tool, policy)
+        direction, needs_review, record = mixed_protocol(ordered, tool, policy)
 
     return EvidenceBucket(
         tool_id=tool.id,
@@ -280,7 +266,7 @@ def aggregate_bucket(
         studies=ordered,
         direction=direction,
         needs_review=needs_review,
-        adjudication_trace=trace,
+        adjudication=record,
     )
 
 
@@ -307,9 +293,6 @@ def derive_b1(
         studies=(),
         direction=direction,
         needs_review=b2.needs_review or b3.needs_review,
-        adjudication_trace=(
-            f"derived from B2 ({b2.direction.value}) and B3 ({b3.direction.value})",
-        ),
         sources=(b2, b3),
     )
 
@@ -408,7 +391,7 @@ def assign_grade(
     direction = supporting.direction if supporting is not None else ordered[0].direction
     fingerprint = policy.fingerprint()
 
-    result = GradeResult(
+    return GradeResult(
         tool_id=tool.id,
         final_grade=final,
         direction=direction,
@@ -416,9 +399,9 @@ def assign_grade(
         needs_review=any(b.needs_review for b in ordered),
         all_buckets=ordered,
         supporting_bucket=supporting,
+        tool_label=_label_for(final, supporting),
         policy=fingerprint,
     )
-    return replace(result, tool_label=tool_label(result))
 
 
 #: Fixed tie-break order for the tool label word.
@@ -439,8 +422,11 @@ def tool_label(result: GradeResult) -> Optional[str]:
     by the fixed order effectiveness > safety > efficiency > workflow >
     processes. C0 results and unlabelled buckets yield no label.
     """
-    bucket = result.supporting_bucket
-    if result.final_grade is GradeLevel.C0 or bucket is None:
+    return _label_for(result.final_grade, result.supporting_bucket)
+
+
+def _label_for(final: GradeLevel, bucket: Optional[EvidenceBucket]) -> Optional[str]:
+    if final is GradeLevel.C0 or bucket is None:
         return None
     studies = bucket.studies if bucket.studies else tuple(
         s for source in bucket.sources for s in source.studies
@@ -454,7 +440,7 @@ def tool_label(result: GradeResult) -> Optional[str]:
     if not counts:
         return None
     word = max(counts, key=lambda lab: (counts[lab], -LABEL_TIE_ORDER.index(lab)))
-    return f"Grade {result.final_grade.value} - {word.display}"
+    return f"Grade {final.value} - {word.display}"
 
 
 @dataclass(frozen=True)

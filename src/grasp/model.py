@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 
 class Phase(Enum):
@@ -340,6 +340,31 @@ class StudyRecord:
         return self.level is not None
 
 
+#: Widening steps of the mixed-evidence cascade, tried in order: each step
+#: compares the tallies of the first ``width`` evidence classes.
+ADJUDICATION_STEPS = (("class A", 1), ("classes A+B", 2), ("all classes", 3))
+
+
+class Adjudication(NamedTuple):
+    """How the mixed-evidence cascade decided one bucket.
+
+    ``tallies`` holds the (positive, negative-or-equivocal) study counts of
+    classes A, B and C. ``step`` indexes the ADJUDICATION_STEPS entry whose
+    strict majority decided; it is None for a tie at every step, which is
+    exactly when the tie fallback fired. A named tuple rather than a frozen
+    dataclass: every command creates this class at import, and a dataclass
+    costs about ten times as much to create.
+    """
+
+    tallies: tuple[tuple[int, int], ...]
+    step: Optional[int]
+
+    def counts(self, step: int) -> tuple[int, int]:
+        """(positive, negative-or-equivocal) over the classes one step compares."""
+        compared = self.tallies[: ADJUDICATION_STEPS[step][1]]
+        return sum(pos for pos, _ in compared), sum(neg for _, neg in compared)
+
+
 @dataclass(frozen=True)
 class EvidenceBucket:
     """All studies of one tool at one grade level, with an aggregated direction.
@@ -347,7 +372,8 @@ class EvidenceBucket:
     External-validation records are re-levelled by multiplicity before
     bucketing (two or more distinct studies form the C1 bucket, exactly one
     the C2 bucket). The derived B1 bucket owns no raw studies; it references
-    the B2 and B3 buckets it was built from via ``sources``.
+    the B2 and B3 buckets it was built from via ``sources``. A mixed bucket
+    carries the cascade's ``adjudication``; a unanimous one carries none.
     """
 
     tool_id: str
@@ -355,12 +381,41 @@ class EvidenceBucket:
     studies: tuple[StudyRecord, ...]
     direction: BucketDirection
     needs_review: bool
-    adjudication_trace: tuple[str, ...]
     sources: tuple["EvidenceBucket", ...] = ()
+    adjudication: Optional[Adjudication] = None
 
     @property
     def qualifies(self) -> bool:
         return self.direction.qualifies
+
+    @property
+    def adjudication_trace(self) -> tuple[str, ...]:
+        """How the direction was reached, one line per step, rendered from the record."""
+        if self.sources:
+            return (
+                "derived from "
+                + " and ".join(f"{s.level.value} ({s.direction.value})" for s in self.sources),
+            )
+        record = self.adjudication
+        if record is None:
+            positive = self.direction is BucketDirection.POSITIVE
+            side = "positive" if positive else "negative or equivocal"
+            return (f"all {len(self.studies)} studies {side}",)
+        lines = [
+            "mixed evidence: "
+            + ", ".join(
+                f"class {cls.value}: {pos} positive / {neg} negative-or-equivocal"
+                for cls, (pos, neg) in zip(EvidenceClass, record.tallies)
+            )
+        ]
+        for step, (label, _) in enumerate(ADJUDICATION_STEPS):
+            pos, neg = record.counts(step)
+            if step == record.step:
+                lines.append(f"{label}: majority decides {self.direction.value} ({pos} vs {neg})")
+                return tuple(lines)
+            lines.append(f"{label}: tied or empty ({pos} vs {neg}); widening")
+        lines.append("full tie: conservative fallback to mixed_negative, flagged for review")
+        return tuple(lines)
 
 
 @dataclass(frozen=True)

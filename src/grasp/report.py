@@ -21,7 +21,6 @@ from .model import (
     MATCHING_FIELD_KEYS,
     QUALITY_FIELD_KEYS,
     BucketDirection,
-    EvidenceBucket,
     GradeLevel,
     GradeResult,
     InputSource,
@@ -84,106 +83,6 @@ FINDINGS_CODES = "[POSITIVE] / [NEGATIVE] / [IMPORTANT]"
 
 ABSENT = "—"
 
-#: Ladder order of the detailed report: phase C block, then B, then A.
-LADDER_ORDER = (
-    GradeLevel.C0,
-    GradeLevel.C3,
-    GradeLevel.C2,
-    GradeLevel.C1,
-    GradeLevel.B3,
-    GradeLevel.B2,
-    GradeLevel.B1,
-    GradeLevel.A3,
-    GradeLevel.A2,
-    GradeLevel.A1,
-)
-
-#: Metadata rows of the detailed report, in layout order.
-DETAIL_FIELD_ROWS = (
-    "Name",
-    "Author",
-    "Country",
-    "Year",
-    "Category",
-    "Intended Use",
-    "Intended User",
-    "Clinical Area",
-    "Target Population",
-    "Target Outcome",
-    "Action",
-    "Input Source",
-    "Input Type",
-    "Local Context",
-    "Methodology",
-    "Internal Validation",
-    "Dedicated Support",
-    "Endorsement",
-    "Automation Flag",
-    "Tool Citations",
-    "Studies",
-    "Authors No",
-    "Sample Size",
-    "Journal Name",
-    "Journal Rank",
-    "Citation Index",
-    "Publication Index",
-    "Literature Index",
-)
-
-#: Trailing rows of the detailed report, after the grade ladder.
-DETAIL_RESULT_ROWS = (
-    "Final Grade",
-    "Tool Label",
-    "Direction of Evidence",
-    "Justification",
-    "Evidence Summary",
-    "Findings Codes",
-)
-
-# Legacy layout: no bibliometrics, merged author/year row, old B levels.
-LEGACY_FIELD_ROWS = (
-    "Name",
-    "Authors/Year",
-    "Intended Use",
-    "Intended User",
-    "Category",
-    "Clinical Area",
-    "Target Population",
-    "Target Outcome",
-    "Action",
-    "Input Source",
-    "Input Type",
-    "Local Context",
-    "Methodology",
-    "Endorsement",
-    "Automation Flag",
-)
-
-LEGACY_LADDER_ORDER = (
-    GradeLevel.C0,
-    GradeLevel.C3,
-    GradeLevel.C2,
-    GradeLevel.C1,
-    GradeLevel.B2,
-    GradeLevel.B1,
-    GradeLevel.A3,
-    GradeLevel.A2,
-    GradeLevel.A1,
-)
-
-# The legacy ladder has usability at B1 and no joint level; modern B-levels
-# map onto the legacy tokens for rendering only. Order fixes which modern
-# bucket backs the legacy B1 row when several exist.
-_LEGACY_TOKEN = {
-    GradeLevel.B1: GradeLevel.B1,
-    GradeLevel.B3: GradeLevel.B1,
-}
-
-_LEGACY_DESCRIPTOR = {
-    GradeLevel.B1: "Usability testing reported",
-    GradeLevel.B2: "Potential effect reported",
-}
-
 
 @dataclass(frozen=True)
 class RenderedReport:
@@ -219,98 +118,143 @@ def _row(label: str, value: str) -> str:
     return f"| {label} | {_escape_cell(value)} |"
 
 
-def _bucket_for(result: GradeResult, level: GradeLevel) -> Optional[EvidenceBucket]:
-    for bucket in result.all_buckets:
-        if bucket.level is level:
-            return bucket
-    return None
-
-
-def _metadata_rows(tool: ToolProfile, indices: ToolIndices) -> list[str]:
-    values = (
-        tool.name,
-        tool.author,
-        tool.country,
-        str(tool.year),
-        tool.category.value.capitalize(),
-        tool.intended_use,
-        tool.intended_user,
-        tool.clinical_area,
-        tool.target_population,
-        tool.target_outcome,
-        tool.action,
-        _enum_list(tool.input_source, InputSource),
-        _enum_list(tool.input_type, InputType),
-        _yesno(tool.local_context),
-        tool.methodology,
-        tool.internal_validation_method,
-        _opt(tool.dedicated_support),
-        _opt(tool.endorsement),
-        tool.automation.value.capitalize(),
-        str(tool.tool_citations),
-        str(tool.studies_count),
-        str(tool.authors_count),
-        str(tool.sample_size),
-        tool.journal_name,
-        f"{tool.journal_rank:.2f}",
-        f"{indices.citation_index:.2f}",
-        f"{indices.publication_index:.2f}",
-        str(indices.literature_index),
-    )
-    return [_row(label, value) for label, value in zip(DETAIL_FIELD_ROWS, values)]
-
-
-def _ladder_rows(
-    result: GradeResult, order: Sequence[GradeLevel], legacy: bool
-) -> list[str]:
-    rows = [
-        "| Phase of Evaluation | Level of Evidence | Grade | Evidence |",
-        "| --- | --- | --- | --- |",
-    ]
-    for level in order:
-        bucket = _bucket_for(result, level)
-        if legacy and bucket is None and level in _LEGACY_TOKEN.values():
-            # Modern usability/joint buckets land on the legacy B1 row.
-            for modern, legacy_level in _LEGACY_TOKEN.items():
-                if legacy_level is level:
-                    bucket = bucket or _bucket_for(result, modern)
-        evidence = DIRECTION_LEGEND[bucket.direction] if bucket else ABSENT
-        final_here = (
-            result.final_grade is level
-            or (legacy and _LEGACY_TOKEN.get(result.final_grade) is level)
-        )
-        if final_here:
-            evidence += " <== final grade"
-        descriptor = (
-            _LEGACY_DESCRIPTOR.get(level, level.descriptor) if legacy else level.descriptor
-        )
-        if not legacy and level.evidence_label:
-            descriptor += f" ({level.evidence_label})"
-        rows.append(_row_cells(level.phase.display, descriptor, level.value, evidence))
-    return rows
-
-
 def _row_cells(*cells: str) -> str:
     return "| " + " | ".join(_escape_cell(cell) for cell in cells) + " |"
 
 
-def _result_rows(result: GradeResult, n_studies: int, legacy: bool) -> list[str]:
-    final = result.final_grade
-    if legacy:
-        final = _LEGACY_TOKEN.get(final, final)
+def _legacy_grade(level: GradeLevel) -> str:
+    """The grade token of the legacy ladder row a grade lands on."""
+    return next(grade for levels, (_, _, grade) in LEGACY_LADDER if level in levels)
+
+
+def _studies_on_record(result: GradeResult) -> str:
+    return f"{sum(len(b.studies) for b in result.all_buckets)} evaluation studies on record"
+
+
+#: Metadata rows of the detailed report, in layout order: (label, cell(tool, indices)).
+DETAIL_FIELDS = (
+    ("Name", lambda tool, _: tool.name),
+    ("Author", lambda tool, _: tool.author),
+    ("Country", lambda tool, _: tool.country),
+    ("Year", lambda tool, _: str(tool.year)),
+    ("Category", lambda tool, _: tool.category.value.capitalize()),
+    ("Intended Use", lambda tool, _: tool.intended_use),
+    ("Intended User", lambda tool, _: tool.intended_user),
+    ("Clinical Area", lambda tool, _: tool.clinical_area),
+    ("Target Population", lambda tool, _: tool.target_population),
+    ("Target Outcome", lambda tool, _: tool.target_outcome),
+    ("Action", lambda tool, _: tool.action),
+    ("Input Source", lambda tool, _: _enum_list(tool.input_source, InputSource)),
+    ("Input Type", lambda tool, _: _enum_list(tool.input_type, InputType)),
+    ("Local Context", lambda tool, _: _yesno(tool.local_context)),
+    ("Methodology", lambda tool, _: tool.methodology),
+    ("Internal Validation", lambda tool, _: tool.internal_validation_method),
+    ("Dedicated Support", lambda tool, _: _opt(tool.dedicated_support)),
+    ("Endorsement", lambda tool, _: _opt(tool.endorsement)),
+    ("Automation Flag", lambda tool, _: tool.automation.value.capitalize()),
+    ("Tool Citations", lambda tool, _: str(tool.tool_citations)),
+    ("Studies", lambda tool, _: str(tool.studies_count)),
+    ("Authors No", lambda tool, _: str(tool.authors_count)),
+    ("Sample Size", lambda tool, _: str(tool.sample_size)),
+    ("Journal Name", lambda tool, _: tool.journal_name),
+    ("Journal Rank", lambda tool, _: f"{tool.journal_rank:.2f}"),
+    ("Citation Index", lambda _, indices: f"{indices.citation_index:.2f}"),
+    ("Publication Index", lambda _, indices: f"{indices.publication_index:.2f}"),
+    ("Literature Index", lambda _, indices: str(indices.literature_index)),
+)
+
+#: Grade ladder of the detailed report, phase C block first, then B, then A:
+#: (levels backing the row, (phase, level of evidence, grade) cells).
+DETAIL_LADDER = tuple(
+    (
+        (level,),
+        (
+            level.phase.display,
+            f"{level.descriptor} ({level.evidence_label})" if level.evidence_label
+            else level.descriptor,
+            level.value,
+        ),
+    )
+    for level in GradeLevel
+)
+
+#: Trailing rows of the detailed report, after the grade ladder: (label, cell(result)).
+DETAIL_RESULTS = (
+    ("Final Grade", lambda result: f"**{result.final_grade.value}**"),
+    ("Tool Label", lambda result: _opt(result.tool_label)),
+    ("Direction of Evidence", lambda result: DIRECTION_LEGEND[result.direction]),
+    ("Justification", lambda result: result.justification),
+    ("Evidence Summary", _studies_on_record),
+    ("Findings Codes", lambda result: FINDINGS_CODES),
+)
+
+# Legacy layout: no bibliometrics, merged author/year row, old B levels.
+LEGACY_FIELDS = (
+    ("Name", lambda tool, _: tool.name),
+    ("Authors/Year", lambda tool, _: f"{tool.author}, {tool.country}, {tool.year}"),
+    ("Intended Use", lambda tool, _: tool.intended_use),
+    ("Intended User", lambda tool, _: tool.intended_user),
+    ("Category", lambda tool, _: tool.category.value.capitalize()),
+    ("Clinical Area", lambda tool, _: tool.clinical_area),
+    ("Target Population", lambda tool, _: tool.target_population),
+    ("Target Outcome", lambda tool, _: tool.target_outcome),
+    ("Action", lambda tool, _: tool.action),
+    ("Input Source", lambda tool, _: _enum_list(tool.input_source, InputSource)),
+    ("Input Type", lambda tool, _: _enum_list(tool.input_type, InputType)),
+    ("Local Context", lambda tool, _: _yesno(tool.local_context)),
+    ("Methodology", lambda tool, _: tool.methodology),
+    ("Endorsement", lambda tool, _: _opt(tool.endorsement)),
+    ("Automation Flag", lambda tool, _: tool.automation.value.capitalize()),
+)
+
+# The legacy ladder has usability at B1 and no joint level: its B1 row carries
+# the usability descriptor and shows the B1 bucket, else the B3 one.
+LEGACY_LADDER = tuple(
+    (levels, (levels[0].phase.display, levels[-1].descriptor, levels[0].value))
+    for levels in (
+        (GradeLevel.C0,),
+        (GradeLevel.C3,),
+        (GradeLevel.C2,),
+        (GradeLevel.C1,),
+        (GradeLevel.B2,),
+        (GradeLevel.B1, GradeLevel.B3),
+        (GradeLevel.A3,),
+        (GradeLevel.A2,),
+        (GradeLevel.A1,),
+    )
+)
+
+LEGACY_RESULTS = (
+    ("Final Grade", lambda result: f"**{_legacy_grade(result.final_grade)}**"),
+    ("Direction of Evidence", lambda result: DIRECTION_LEGEND[result.direction]),
+    ("Justification", lambda result: result.justification),
+    ("References", _studies_on_record),
+    ("Label/Colour Code", lambda result: FINDINGS_CODES),
+)
+
+#: Title and row tables of each markdown layout of the detailed report.
+_MARKDOWN_LAYOUTS = {
+    ReportFormat.MARKDOWN_TABLE4: (
+        "GRASP Detailed Report", DETAIL_FIELDS, DETAIL_LADDER, DETAIL_RESULTS
+    ),
+    ReportFormat.MARKDOWN_TABLE3_LEGACY: (
+        "GRASP Detailed Report (legacy layout)", LEGACY_FIELDS, LEGACY_LADDER, LEGACY_RESULTS
+    ),
+}
+
+
+def _ladder_rows(result: GradeResult, ladder) -> list[str]:
+    buckets = {bucket.level: bucket for bucket in result.all_buckets}
     rows = [
-        _row("Final Grade", f"**{final.value}**"),
+        "| Phase of Evaluation | Level of Evidence | Grade | Evidence |",
+        "| --- | --- | --- | --- |",
     ]
-    if not legacy:
-        rows.append(_row("Tool Label", _opt(result.tool_label)))
-    rows.append(_row("Direction of Evidence", DIRECTION_LEGEND[result.direction]))
-    rows.append(_row("Justification", result.justification))
-    if legacy:
-        rows.append(_row("References", f"{n_studies} evaluation studies on record"))
-        rows.append(_row("Label/Colour Code", FINDINGS_CODES))
-    else:
-        rows.append(_row("Evidence Summary", f"{n_studies} evaluation studies on record"))
-        rows.append(_row("Findings Codes", FINDINGS_CODES))
+    for levels, cells in ladder:
+        bucket = next((buckets[level] for level in levels if level in buckets), None)
+        evidence = DIRECTION_LEGEND[bucket.direction] if bucket else ABSENT
+        if result.final_grade in levels:
+            evidence += " <== final grade"
+        rows.append(_row_cells(*cells, evidence))
     return rows
 
 
@@ -325,40 +269,18 @@ def _markdown_detailed(
     tool: ToolProfile,
     result: GradeResult,
     indices: ToolIndices,
-    legacy: bool,
+    layout: tuple,
     generated_at: Optional[str],
 ) -> str:
-    title = "GRASP Detailed Report" if not legacy else "GRASP Detailed Report (legacy layout)"
+    title, fields, ladder, results = layout
     lines = [f"# {title}: {tool.name}", ""]
     lines += _stamp_lines(generated_at, result.policy)
     lines += ["", "| Field | Value |", "| --- | --- |"]
-    if legacy:
-        values = (
-            tool.name,
-            f"{tool.author}, {tool.country}, {tool.year}",
-            tool.intended_use,
-            tool.intended_user,
-            tool.category.value.capitalize(),
-            tool.clinical_area,
-            tool.target_population,
-            tool.target_outcome,
-            tool.action,
-            _enum_list(tool.input_source, InputSource),
-            _enum_list(tool.input_type, InputType),
-            _yesno(tool.local_context),
-            tool.methodology,
-            _opt(tool.endorsement),
-            tool.automation.value.capitalize(),
-        )
-        lines += [_row(label, value) for label, value in zip(LEGACY_FIELD_ROWS, values)]
-    else:
-        lines += _metadata_rows(tool, indices)
+    lines += [_row(label, cell(tool, indices)) for label, cell in fields]
     lines.append("")
-    lines += _ladder_rows(result, LEGACY_LADDER_ORDER if legacy else LADDER_ORDER, legacy)
-    lines.append("")
-    n_studies = sum(len(b.studies) for b in result.all_buckets)
-    lines += ["| Field | Value |", "| --- | --- |"]
-    lines += _result_rows(result, n_studies, legacy)
+    lines += _ladder_rows(result, ladder)
+    lines += ["", "| Field | Value |", "| --- | --- |"]
+    lines += [_row(label, cell(result)) for label, cell in results]
     return "\n".join(lines) + "\n"
 
 
@@ -421,10 +343,8 @@ def render_detailed_report(
     """
     if format is ReportFormat.STRUCTURED:
         body: Union[str, dict] = _structured_detailed(tool, result, indices, generated_at)
-    elif format is ReportFormat.MARKDOWN_TABLE4:
-        body = _markdown_detailed(tool, result, indices, False, generated_at)
-    elif format is ReportFormat.MARKDOWN_TABLE3_LEGACY:
-        body = _markdown_detailed(tool, result, indices, True, generated_at)
+    elif format in _MARKDOWN_LAYOUTS:
+        body = _markdown_detailed(tool, result, indices, _MARKDOWN_LAYOUTS[format], generated_at)
     else:  # pragma: no cover - enum is closed
         raise FormatUnsupported(f"unsupported report format: {format!r}")
     return RenderedReport(
@@ -436,53 +356,41 @@ def render_detailed_report(
     )
 
 
-#: Evidence-summary columns, one row per study.
-SUMMARY_COLUMNS = (
-    "Study",
-    "Country",
-    "Year",
-    "Phase",
-    "Type",
-    "Tools",
-    "Sample Size",
-    *(key.replace("_", " ").title() for key in MATCHING_FIELD_KEYS),
-    *(key.replace("_", " ").title() for key in QUALITY_FIELD_KEYS),
-    "Direction of Evidence",
-    "Matching of Evidence",
-    "Quality of Evidence",
-    "Strength of Evidence",
-    "Label",
-    "Notes",
-)
-
-
 def _flag(record: Mapping[str, bool], key: str) -> str:
     if key not in record:
         return ABSENT
     return _yesno(record[key])
 
 
-def _summary_cells(record: StudyRecord, appraisal: StudyAppraisal) -> list[str]:
-    labels = ", ".join(
-        label.display for label in sorted(record.labels, key=list(OutcomeLabel).index)
-    )
-    return [
-        record.citation,
-        record.country,
-        str(record.year),
-        record.phase.display,
-        STUDY_TYPE_TOKENS[record.study_type],
-        "Comparative Study" if record.comparative else "Single Tool",
-        _opt(record.sample_size),
-        *(_flag(record.matching_fields, key) for key in MATCHING_FIELD_KEYS),
-        *(_flag(record.quality_fields, key) for key in QUALITY_FIELD_KEYS),
-        STUDY_DIRECTION_TOKENS[record.direction],
-        MATCHING_TOKENS[appraisal.matching],
-        QUALITY_TOKENS[appraisal.quality],
-        STRENGTH_TOKENS[appraisal.strength],
-        labels or ABSENT,
-        _opt(record.notes),
-    ]
+def _labels(record: StudyRecord) -> str:
+    ordered = sorted(record.labels, key=list(OutcomeLabel).index)
+    return ", ".join(label.display for label in ordered) or ABSENT
+
+
+#: Evidence-summary columns, one row per study: (column, cell(record, appraisal)).
+SUMMARY_TABLE = (
+    ("Study", lambda record, _: record.citation),
+    ("Country", lambda record, _: record.country),
+    ("Year", lambda record, _: str(record.year)),
+    ("Phase", lambda record, _: record.phase.display),
+    ("Type", lambda record, _: STUDY_TYPE_TOKENS[record.study_type]),
+    ("Tools", lambda record, _: "Comparative Study" if record.comparative else "Single Tool"),
+    ("Sample Size", lambda record, _: _opt(record.sample_size)),
+    *(
+        (key.replace("_", " ").title(), lambda record, _, k=key: _flag(record.matching_fields, k))
+        for key in MATCHING_FIELD_KEYS
+    ),
+    *(
+        (key.replace("_", " ").title(), lambda record, _, k=key: _flag(record.quality_fields, k))
+        for key in QUALITY_FIELD_KEYS
+    ),
+    ("Direction of Evidence", lambda record, _: STUDY_DIRECTION_TOKENS[record.direction]),
+    ("Matching of Evidence", lambda _, appraisal: MATCHING_TOKENS[appraisal.matching]),
+    ("Quality of Evidence", lambda _, appraisal: QUALITY_TOKENS[appraisal.quality]),
+    ("Strength of Evidence", lambda _, appraisal: STRENGTH_TOKENS[appraisal.strength]),
+    ("Label", lambda record, _: _labels(record)),
+    ("Notes", lambda record, _: _opt(record.notes)),
+)
 
 
 def render_evidence_summary(
@@ -523,10 +431,11 @@ def render_evidence_summary(
         if generated_at:
             lines.append(f"Generated: {generated_at}")
             lines.append("")
-        lines.append(_row_cells(*SUMMARY_COLUMNS))
-        lines.append(_row_cells(*(["---"] * len(SUMMARY_COLUMNS))))
+        lines.append(_row_cells(*(column for column, _ in SUMMARY_TABLE)))
+        lines.append(_row_cells(*(["---"] * len(SUMMARY_TABLE))))
         for record in ordered:
-            lines.append(_row_cells(*_summary_cells(record, appraisals[record.id])))
+            appraisal = appraisals[record.id]
+            lines.append(_row_cells(*(cell(record, appraisal) for _, cell in SUMMARY_TABLE)))
         body = "\n".join(lines) + "\n"
     else:  # pragma: no cover - enum is closed
         raise FormatUnsupported(f"unsupported report format: {format!r}")

@@ -161,6 +161,17 @@ def test_c5_cascade_oracle_equivalence():
         expected = oracle_direction(pairs, conservative=True)
         if (bucket.direction, bucket.needs_review) != expected:
             failures.append(pairs)
+        # A mixed bucket records the per-class counts of its input, and no
+        # deciding step exactly when it is flagged; a unanimous one records nothing.
+        tallies = tuple(
+            (pairs.count((cls, P)), sum(c is cls and d is not P for c, d in pairs))
+            for cls in EvidenceClass
+        )
+        positives = sum(pos for pos, _ in tallies)
+        record = bucket.adjudication
+        recorded = None if record is None else (record.tallies, record.step is None)
+        if recorded != ((tallies, bucket.needs_review) if 0 < positives < len(pairs) else None):
+            failures.append(pairs)
         # The failing policy must error exactly when the oracle ties.
         try:
             strict_direction = aggregate_bucket(studies, TOOL, FAILING).direction
@@ -177,7 +188,7 @@ def test_c5_cascade_oracle_equivalence():
     _report(
         5,
         f"cascade equals brute-force oracle on every multiset of <=5 studies "
-        f"({cases} multisets, both tie policies, {elapsed:.2f}s < 10s)",
+        f"({cases} multisets, both tie policies, tallies recorded, {elapsed:.2f}s < 10s)",
         not failures and elapsed < 10.0,
     )
 

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import grasp
 from grasp.cli import main
 from conftest import FIXTURES
 
@@ -357,6 +361,28 @@ class TestAtomicReportWrites:
         assert code == 1
         assert "No space left on device" in err
         assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+
+
+class TestReportEncoding:
+    ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
+    @pytest.mark.parametrize("command, flag", [("grade", "--report"), ("report", "--out")])
+    def test_reports_are_utf8_under_an_ascii_locale(self, tmp_path, command, flag):
+        # Every markdown report holds an em dash, which an ASCII locale cannot encode.
+        src = str(Path(grasp.__file__).resolve().parents[1])
+        written = {}
+        for name, locale in (("default", {}), ("ascii", self.ASCII_LOCALE)):
+            out_dir = tmp_path / name
+            done = subprocess.run(
+                [sys.executable, "-c", "import sys; from grasp.cli import main; sys.exit(main())",
+                 command, CORPUS, flag, str(out_dir)],
+                env=dict(os.environ, PYTHONPATH=src, **locale),
+                capture_output=True, text=True, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            written[name] = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        assert len(written["ascii"]) == 8
+        assert written["ascii"] == written["default"]
 
 
 class TestNonFiniteNumbers:

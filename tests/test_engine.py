@@ -240,10 +240,10 @@ class TestMixedProtocol:
         assert direction is BucketDirection.MIXED_NEGATIVE
 
     def test_full_tie_conservative_fallback(self):
-        direction, review, trace = self.run([(EvidenceClass.A, P), (EvidenceClass.A, N)])
+        direction, review, record = self.run([(EvidenceClass.A, P), (EvidenceClass.A, N)])
         assert direction is BucketDirection.MIXED_NEGATIVE
         assert review
-        assert any("fallback" in line for line in trace)
+        assert record.step is None
 
     def test_full_tie_failing_policy_raises(self):
         with pytest.raises(AdjudicationRequired):
@@ -337,7 +337,6 @@ class TestDeriveB1:
         flagged = EvidenceBucket(
             tool_id="tool-001", level=GradeLevel.B2, studies=(),
             direction=BucketDirection.MIXED_POSITIVE, needs_review=True,
-            adjudication_trace=(),
         )
         b1 = derive_b1(flagged, _bucket(GradeLevel.B3, BucketDirection.POSITIVE))
         assert b1 is not None and b1.needs_review

@@ -16,10 +16,11 @@ from grasp.engine import (
 from grasp.errors import UnresolvedStrength
 from grasp.model import GradeLevel
 from grasp.report import (
-    DETAIL_FIELD_ROWS,
-    DETAIL_RESULT_ROWS,
+    DETAIL_FIELDS,
+    DETAIL_RESULTS,
     DIRECTION_LEGEND,
-    LEGACY_FIELD_ROWS,
+    LEGACY_FIELDS,
+    LEGACY_RESULTS,
     MATCHING_TOKENS,
     QUALITY_TOKENS,
     STRENGTH_TOKENS,
@@ -51,7 +52,7 @@ class TestDetailedReport:
         tool, _, result, indices = _graded(corpus8, "ottawa-knee")
         body = render_detailed_report(tool, result, indices).body
         positions = []
-        for label in DETAIL_FIELD_ROWS + DETAIL_RESULT_ROWS:
+        for label, _ in DETAIL_FIELDS + DETAIL_RESULTS:
             occurrences = [m.start() for m in re.finditer(rf"^\| {re.escape(label)} \| ", body, re.MULTILINE)]
             assert len(occurrences) == 1, label
             positions.append(occurrences[0])
@@ -79,7 +80,7 @@ class TestDetailedReport:
         body = render_detailed_report(bare, result, indices).body
         assert _cells(body, "Dedicated Support") == ["—"]
         assert _cells(body, "Endorsement") == ["—"]
-        for label in DETAIL_FIELD_ROWS:
+        for label, _ in DETAIL_FIELDS:
             assert f"| {label} |" in body
 
     def test_indices_rendered_to_two_decimals(self, corpus8):
@@ -143,7 +144,7 @@ class TestLegacyLayout:
         body = render_detailed_report(
             tool, result, indices, ReportFormat.MARKDOWN_TABLE3_LEGACY
         ).body
-        for label in LEGACY_FIELD_ROWS:
+        for label, _ in LEGACY_FIELDS + LEGACY_RESULTS:
             assert f"| {label} |" in body, label
         assert "| Tool Label |" not in body
         assert "| Citation Index |" not in body
