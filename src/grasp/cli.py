@@ -17,7 +17,7 @@ import sys
 from datetime import datetime, timezone
 from enum import IntEnum
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence, Union
 
 from . import corpus as corpus_io
 from . import stats
@@ -136,12 +136,6 @@ def _reference_year(args: argparse.Namespace, corpus: corpus_io.Corpus, tool: To
     return max(years)
 
 
-def _stamp_value(args: argparse.Namespace) -> Optional[str]:
-    if not args.stamp:
-        return None
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
-
-
 def _grade_line(result: GradeResult) -> str:
     label = f'"{result.tool_label}"' if result.tool_label else "-"
     line = (
@@ -153,9 +147,35 @@ def _grade_line(result: GradeResult) -> str:
     return line
 
 
+def _documents(
+    args: argparse.Namespace,
+    corpus: corpus_io.Corpus,
+    policy: AppraisalPolicy,
+    graded: list[tuple[ToolProfile, GradeResult]],
+    layout: ReportFormat,
+) -> Iterator[tuple[ToolProfile, Union[str, dict]]]:
+    """Yield each graded tool's document: its detailed report and, with
+    ``--summary``, the evidence summary of its gradable studies."""
+    stamp = datetime.now(timezone.utc).isoformat(timespec="seconds") if args.stamp else None
+    for tool, result in graded:
+        indices = compute_indices(tool, _reference_year(args, corpus, tool))
+        report = render_detailed_report(tool, result, indices, layout, generated_at=stamp)
+        if not args.summary:
+            yield tool, report
+            continue
+        records = [s for s in corpus.studies_for(tool.id) if s.is_gradable]
+        appraisals = {s.id: appraise_study(s, policy) for s in records}
+        summary = render_evidence_summary(records, appraisals, layout, generated_at=stamp)
+        if layout is ReportFormat.STRUCTURED:
+            yield tool, {"report": report, "evidence_summary": summary}
+        else:
+            yield tool, report + "\n" + summary
+
+
 def _write_reports(
     args: argparse.Namespace,
     corpus: corpus_io.Corpus,
+    policy: AppraisalPolicy,
     graded: list[tuple[ToolProfile, GradeResult]],
     out_dir: str,
     layout: ReportFormat,
@@ -170,15 +190,10 @@ def _write_reports(
                 f"tool id {tool.id!r} is not a plain file name; no report written to {directory}"
             )
     directory.mkdir(parents=True, exist_ok=True)
-    stamp = _stamp_value(args)
-    for tool, result in graded:
-        indices = compute_indices(tool, _reference_year(args, corpus, tool))
-        report = render_detailed_report(tool, result, indices, layout, generated_at=stamp)
+    for tool, document in _documents(args, corpus, policy, graded, layout):
         if layout is ReportFormat.STRUCTURED:
-            text = json.dumps(report.body, indent=2, ensure_ascii=False) + "\n"
-        else:
-            text = str(report.body)
-        _write_atomically(directory / f"{tool.id}{suffix}", text)
+            document = json.dumps(document, indent=2, ensure_ascii=False) + "\n"
+        _write_atomically(directory / f"{tool.id}{suffix}", document)
 
 
 def _write_atomically(path: Path, text: str) -> None:
@@ -194,7 +209,7 @@ def _write_atomically(path: Path, text: str) -> None:
 
 
 def _cmd_grade(args: argparse.Namespace) -> int:
-    corpus, _, graded = _grade_selected(args)
+    corpus, policy, graded = _grade_selected(args)
     if args.format == "structured":
         print(json.dumps([grade_to_obj(r) for _, r in graded], indent=2))
     else:
@@ -204,7 +219,7 @@ def _cmd_grade(args: argparse.Namespace) -> int:
         if result.needs_review:
             _warn(f"{result.tool_id}: grade needs review ({result.justification})")
     if args.report:
-        _write_reports(args, corpus, graded, args.report, _LAYOUTS[args.layout])
+        _write_reports(args, corpus, policy, graded, args.report, _LAYOUTS[args.layout])
     return ExitStatus.OK
 
 
@@ -212,30 +227,13 @@ def _cmd_report(args: argparse.Namespace) -> int:
     corpus, policy, graded = _grade_selected(args)
     layout = _LAYOUTS[args.layout]
     if args.out:
-        _write_reports(args, corpus, graded, args.out, layout)
+        _write_reports(args, corpus, policy, graded, args.out, layout)
         return ExitStatus.OK
-    stamp = _stamp_value(args)
-    bodies = []
-    for tool, result in graded:
-        indices = compute_indices(tool, _reference_year(args, corpus, tool))
-        report = render_detailed_report(tool, result, indices, layout, generated_at=stamp)
-        if args.summary:
-            records = [s for s in corpus.studies_for(tool.id) if s.is_gradable]
-            appraisals = {s.id: appraise_study(s, policy) for s in records}
-            summary = render_evidence_summary(
-                records, appraisals, layout,
-                generated_at=stamp, engine_policy=result.policy,
-            )
-            if layout is ReportFormat.STRUCTURED:
-                bodies.append({"report": report.body, "evidence_summary": summary.body})
-            else:
-                bodies.append(str(report.body) + "\n" + str(summary.body))
-        else:
-            bodies.append(report.body)
+    documents = [document for _, document in _documents(args, corpus, policy, graded, layout)]
     if layout is ReportFormat.STRUCTURED:
-        print(json.dumps(bodies if args.tool is None else bodies[0], indent=2))
+        print(json.dumps(documents if args.tool is None else documents[0], indent=2))
     else:
-        print("\n".join(str(b) for b in bodies), end="")
+        print("\n".join(documents), end="")
     return ExitStatus.OK
 
 
@@ -332,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_strictness(grade)
     _add_policy_flags(grade)
     _add_stamp(grade)
-    grade.set_defaults(func=_cmd_grade)
+    grade.set_defaults(func=_cmd_grade, summary=False)
 
     report = sub.add_parser("report", help="render detailed reports")
     report.add_argument("corpus", help="corpus JSON file")
@@ -367,6 +365,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    # Stdout is UTF-8 whatever the locale, like report files. A stream that is
+    # not a real text file, such as an io.StringIO, has no encoding to set.
+    if hasattr(sys.stdout, "reconfigure"):
+        sys.stdout.reconfigure(encoding="utf-8")
     args = build_parser().parse_args(argv)
     try:
         return int(args.func(args))

@@ -55,6 +55,7 @@ from .model import (
     StudyType,
     ToolCategory,
     ToolProfile,
+    external_validation_level,
 )
 
 SCHEMA_VERSION = "grasp-corpus/1"
@@ -476,7 +477,7 @@ def _cross_checks(
         attached = by_tool.get(tool.id, [])
         external = [(p, s) for p, s in attached if s.study_type is StudyType.EXTERNAL_VALIDATION]
         if external:
-            derived = GradeLevel.C1 if len({s.id for _, s in external}) >= 2 else GradeLevel.C2
+            derived = external_validation_level(len({s.id for _, s in external}))
             for path, study in external:
                 if study.level is not derived:
                     sink.error(ConsistencyError(

@@ -44,6 +44,7 @@ from .model import (
     StudyRecord,
     StudyType,
     ToolProfile,
+    external_validation_level,
     ordinal_rank,
 )
 
@@ -317,8 +318,7 @@ def build_buckets(
             assert record.level is not None
             by_level.setdefault(record.level, []).append(record)
     if external:
-        distinct = {s.id for s in external}
-        level = GradeLevel.C1 if len(distinct) >= 2 else GradeLevel.C2
+        level = external_validation_level(len({s.id for s in external}))
         by_level.setdefault(level, []).extend(external)
 
     buckets = {

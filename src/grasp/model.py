@@ -67,7 +67,8 @@ class GradeLevel(Enum):
 
     @property
     def phase(self) -> Phase:
-        return _LEVEL_PHASE[self]
+        """The phase whose letter the level's token starts with."""
+        return _PHASE_OF_LETTER[self.value[0]]
 
     @property
     def descriptor(self) -> str:
@@ -82,18 +83,7 @@ class GradeLevel(Enum):
 #: Members are declared in ladder order, so their position is their rank.
 _RANK = {level: position for position, level in enumerate(GradeLevel)}
 
-_LEVEL_PHASE = {
-    GradeLevel.C0: Phase.BEFORE_IMPLEMENTATION,
-    GradeLevel.C3: Phase.BEFORE_IMPLEMENTATION,
-    GradeLevel.C2: Phase.BEFORE_IMPLEMENTATION,
-    GradeLevel.C1: Phase.BEFORE_IMPLEMENTATION,
-    GradeLevel.B3: Phase.PLANNING_FOR_IMPLEMENTATION,
-    GradeLevel.B2: Phase.PLANNING_FOR_IMPLEMENTATION,
-    GradeLevel.B1: Phase.PLANNING_FOR_IMPLEMENTATION,
-    GradeLevel.A3: Phase.AFTER_IMPLEMENTATION,
-    GradeLevel.A2: Phase.AFTER_IMPLEMENTATION,
-    GradeLevel.A1: Phase.AFTER_IMPLEMENTATION,
-}
+_PHASE_OF_LETTER = {letter: phase for phase, letter in _PHASE_LETTER.items()}
 
 _DESCRIPTOR = {
     GradeLevel.C0: "Insufficient internal validity",
@@ -121,17 +111,7 @@ def ordinal_rank(level: GradeLevel) -> int:
 
 
 #: Levels scanned for a final grade, best first. C0 is the fallback outcome.
-GRADE_SCAN_ORDER = (
-    GradeLevel.A1,
-    GradeLevel.A2,
-    GradeLevel.A3,
-    GradeLevel.B1,
-    GradeLevel.B2,
-    GradeLevel.B3,
-    GradeLevel.C1,
-    GradeLevel.C2,
-    GradeLevel.C3,
-)
+GRADE_SCAN_ORDER = tuple(level for level in reversed(GradeLevel) if level is not GradeLevel.C0)
 
 
 class StudyDirection(Enum):
@@ -265,6 +245,12 @@ LEVELS_BY_STUDY_TYPE: Mapping[StudyType, frozenset[GradeLevel]] = {
         {GradeLevel.A1, GradeLevel.A2, GradeLevel.A3}
     ),
 }
+
+def external_validation_level(count: int) -> GradeLevel:
+    """The level of a tool's external validations, fixed by how many distinct
+    ones it has: two or more are C1 (validated multiple times), one is C2."""
+    return GradeLevel.C1 if count >= 2 else GradeLevel.C2
+
 
 #: A-levels pinned to the impact study design.
 LEVEL_BY_IMPACT_SUBTYPE: Mapping[ImpactSubtype, GradeLevel] = {

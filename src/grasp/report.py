@@ -10,7 +10,6 @@ caller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Optional, Sequence, Union
 
@@ -82,17 +81,6 @@ STUDY_TYPE_TOKENS = {
 FINDINGS_CODES = "[POSITIVE] / [NEGATIVE] / [IMPORTANT]"
 
 ABSENT = "—"
-
-
-@dataclass(frozen=True)
-class RenderedReport:
-    """A rendered document plus the provenance needed to reproduce it."""
-
-    tool_id: str
-    format: ReportFormat
-    body: Union[str, dict]
-    engine_policy: str
-    generated_at: Optional[str] = None
 
 
 def _yesno(flag: bool) -> str:
@@ -334,26 +322,19 @@ def render_detailed_report(
     format: ReportFormat = ReportFormat.MARKDOWN_TABLE4,
     *,
     generated_at: Optional[str] = None,
-) -> RenderedReport:
-    """Render the per-tool detailed report.
+) -> Union[str, dict]:
+    """Render the per-tool detailed report: markdown text, or a JSON-ready
+    dict for the structured format.
 
     Absent optional fields render as an em dash placeholder; the grade
     ladder marks the supporting level; numeric indices render with two
     decimals (the literature index is an exact integer).
     """
     if format is ReportFormat.STRUCTURED:
-        body: Union[str, dict] = _structured_detailed(tool, result, indices, generated_at)
-    elif format in _MARKDOWN_LAYOUTS:
-        body = _markdown_detailed(tool, result, indices, _MARKDOWN_LAYOUTS[format], generated_at)
-    else:  # pragma: no cover - enum is closed
-        raise FormatUnsupported(f"unsupported report format: {format!r}")
-    return RenderedReport(
-        tool_id=tool.id,
-        format=format,
-        body=body,
-        engine_policy=result.policy,
-        generated_at=generated_at,
-    )
+        return _structured_detailed(tool, result, indices, generated_at)
+    if format in _MARKDOWN_LAYOUTS:
+        return _markdown_detailed(tool, result, indices, _MARKDOWN_LAYOUTS[format], generated_at)
+    raise FormatUnsupported(f"unsupported report format: {format!r}")
 
 
 def _flag(record: Mapping[str, bool], key: str) -> str:
@@ -399,9 +380,9 @@ def render_evidence_summary(
     format: ReportFormat = ReportFormat.MARKDOWN_TABLE4,
     *,
     generated_at: Optional[str] = None,
-    engine_policy: str = "",
-) -> RenderedReport:
-    """Render the per-study evidence summary, one row per record.
+) -> Union[str, dict]:
+    """Render the per-study evidence summary, one row per record: markdown
+    text, or a JSON-ready dict for the structured format.
 
     ``appraisals`` maps study id to its resolved verdicts; a record without
     one is an error. Rows are ordered by publication year, then id.
@@ -410,10 +391,9 @@ def render_evidence_summary(
     if missing:
         raise UnresolvedStrength(f"no resolved strength for studies: {', '.join(sorted(missing))}")
     ordered = sorted(records, key=lambda r: (r.year, r.id))
-    tool_id = records[0].tool_id if records else ""
 
     if format is ReportFormat.STRUCTURED:
-        body: Union[str, dict] = {
+        return {
             "studies": [
                 {
                     **study_to_obj(record),
@@ -426,24 +406,15 @@ def render_evidence_summary(
             ],
             "generated_at": generated_at,
         }
-    elif format in (ReportFormat.MARKDOWN_TABLE4, ReportFormat.MARKDOWN_TABLE3_LEGACY):
-        lines = ["# Evidence Summary", ""]
-        if generated_at:
-            lines.append(f"Generated: {generated_at}")
-            lines.append("")
-        lines.append(_row_cells(*(column for column, _ in SUMMARY_TABLE)))
-        lines.append(_row_cells(*(["---"] * len(SUMMARY_TABLE))))
-        for record in ordered:
-            appraisal = appraisals[record.id]
-            lines.append(_row_cells(*(cell(record, appraisal) for _, cell in SUMMARY_TABLE)))
-        body = "\n".join(lines) + "\n"
-    else:  # pragma: no cover - enum is closed
+    if format not in _MARKDOWN_LAYOUTS:
         raise FormatUnsupported(f"unsupported report format: {format!r}")
-
-    return RenderedReport(
-        tool_id=tool_id,
-        format=format,
-        body=body,
-        engine_policy=engine_policy,
-        generated_at=generated_at,
-    )
+    lines = ["# Evidence Summary", ""]
+    if generated_at:
+        lines.append(f"Generated: {generated_at}")
+        lines.append("")
+    lines.append(_row_cells(*(column for column, _ in SUMMARY_TABLE)))
+    lines.append(_row_cells(*(["---"] * len(SUMMARY_TABLE))))
+    for record in ordered:
+        appraisal = appraisals[record.id]
+        lines.append(_row_cells(*(cell(record, appraisal) for _, cell in SUMMARY_TABLE)))
+    return "\n".join(lines) + "\n"

@@ -296,6 +296,20 @@ class TestReportCommand:
         assert "# Evidence Summary" in out
         assert "Strong Evidence" in out
 
+    @pytest.mark.parametrize("layout", ["table4", "structured"])
+    def test_summary_reaches_report_files(self, capsys, tmp_path, layout):
+        argv = ("report", CORPUS, "--tool", "lace", "--summary", "--layout", layout)
+        _, printed, _ = run(capsys, *argv)
+        code, _, _ = run(capsys, *argv, "--out", str(tmp_path))
+        assert code == 0
+        if layout == "structured":
+            written = json.loads((tmp_path / "lace.json").read_text(encoding="utf-8"))
+            assert written == json.loads(printed)
+            assert set(written) == {"report", "evidence_summary"}
+        else:
+            assert (tmp_path / "lace.md").read_bytes() == printed.encode("utf-8")
+            assert "# Evidence Summary" in printed
+
     def test_reference_year_flag(self, capsys):
         code, out, _ = run(
             capsys, "report", CORPUS, "--tool", "taylor", "--reference-year", "2017"
@@ -366,23 +380,34 @@ class TestAtomicReportWrites:
 class TestReportEncoding:
     ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
 
-    @pytest.mark.parametrize("command, flag", [("grade", "--report"), ("report", "--out")])
+    @pytest.mark.parametrize("command, flag", [
+        ("grade", "--report"), ("report", "--out"), ("report", "--tool taylor"),
+    ])
     def test_reports_are_utf8_under_an_ascii_locale(self, tmp_path, command, flag):
         # Every markdown report holds an em dash, which an ASCII locale cannot encode.
+        # A directory flag sends the reports to files, any other flag to stdout.
         src = str(Path(grasp.__file__).resolve().parents[1])
-        written = {}
+        outputs = {}
         for name, locale in (("default", {}), ("ascii", self.ASCII_LOCALE)):
             out_dir = tmp_path / name
+            argv = [command, CORPUS, *flag.split()]
+            if flag in ("--report", "--out"):
+                argv.append(str(out_dir))
             done = subprocess.run(
                 [sys.executable, "-c", "import sys; from grasp.cli import main; sys.exit(main())",
-                 command, CORPUS, flag, str(out_dir)],
+                 *argv],
                 env=dict(os.environ, PYTHONPATH=src, **locale),
-                capture_output=True, text=True, timeout=120,
+                capture_output=True, timeout=120,
             )
-            assert done.returncode == 0, done.stderr
-            written[name] = {p.name: p.read_bytes() for p in out_dir.iterdir()}
-        assert len(written["ascii"]) == 8
-        assert written["ascii"] == written["default"]
+            assert done.returncode == 0, done.stderr.decode(errors="replace")
+            written = {p.name: p.read_bytes() for p in out_dir.iterdir()} if out_dir.exists() else {}
+            outputs[name] = (done.stdout, written)
+        stdout, written = outputs["ascii"]
+        if flag == "--tool taylor":
+            assert "—".encode("utf-8") in stdout
+        else:
+            assert len(written) == 8
+        assert outputs["ascii"] == outputs["default"]
 
 
 class TestNonFiniteNumbers:

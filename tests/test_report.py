@@ -50,7 +50,7 @@ def _cells(body: str, label: str) -> list[str]:
 class TestDetailedReport:
     def test_every_field_row_exactly_once_in_order(self, corpus8):
         tool, _, result, indices = _graded(corpus8, "ottawa-knee")
-        body = render_detailed_report(tool, result, indices).body
+        body = render_detailed_report(tool, result, indices)
         positions = []
         for label, _ in DETAIL_FIELDS + DETAIL_RESULTS:
             occurrences = [m.start() for m in re.finditer(rf"^\| {re.escape(label)} \| ", body, re.MULTILINE)]
@@ -61,7 +61,7 @@ class TestDetailedReport:
 
     def test_final_grade_marked(self, corpus8):
         tool, _, result, indices = _graded(corpus8, "ottawa-knee")
-        body = render_detailed_report(tool, result, indices).body
+        body = render_detailed_report(tool, result, indices)
         assert _cells(body, "Final Grade") == ["**A1**"]
         assert _cells(body, "Direction of Evidence") == ["Positive Evidence"]
         ladder_line = next(line for line in body.splitlines() if "| A1 |" in line)
@@ -69,7 +69,7 @@ class TestDetailedReport:
 
     def test_c0_report_has_no_label_value(self, corpus8):
         tool, _, result, indices = _graded(corpus8, "dietrich")
-        body = render_detailed_report(tool, result, indices).body
+        body = render_detailed_report(tool, result, indices)
         assert _cells(body, "Final Grade") == ["**C0**"]
         assert _cells(body, "Tool Label") == ["—"]
         assert _cells(body, "Direction of Evidence") == ["Negative Evidence"]
@@ -77,7 +77,7 @@ class TestDetailedReport:
     def test_absent_optionals_render_as_dash(self, corpus8):
         tool, studies, result, indices = _graded(corpus8, "taylor")
         bare = replace(tool, dedicated_support=None, endorsement=None)
-        body = render_detailed_report(bare, result, indices).body
+        body = render_detailed_report(bare, result, indices)
         assert _cells(body, "Dedicated Support") == ["—"]
         assert _cells(body, "Endorsement") == ["—"]
         for label, _ in DETAIL_FIELDS:
@@ -85,21 +85,21 @@ class TestDetailedReport:
 
     def test_indices_rendered_to_two_decimals(self, corpus8):
         tool, _, result, indices = _graded(corpus8, "ottawa-knee")
-        body = render_detailed_report(tool, result, indices).body
+        body = render_detailed_report(tool, result, indices)
         assert _cells(body, "Citation Index") == [f"{indices.citation_index:.2f}"]
         assert _cells(body, "Publication Index") == [f"{indices.publication_index:.2f}"]
         assert _cells(body, "Literature Index") == [str(indices.literature_index)]
 
     def test_justification_embedded_verbatim(self, corpus8):
         tool, _, result, indices = _graded(corpus8, "centor")
-        body = render_detailed_report(tool, result, indices).body
+        body = render_detailed_report(tool, result, indices)
         assert result.justification in body
 
     def test_direction_vocabulary_closed(self, corpus8):
         legend = set(DIRECTION_LEGEND.values())
         for tool in corpus8.tools:
             _, _, result, indices = _graded(corpus8, tool.id)
-            body = render_detailed_report(tool, result, indices).body
+            body = render_detailed_report(tool, result, indices)
             for value in _cells(body, "Direction of Evidence"):
                 assert value in legend
             for line in body.splitlines():
@@ -114,24 +114,23 @@ class TestDetailedReport:
         tool, _, result, indices = _graded(corpus8, "pecarn")
         first = render_detailed_report(tool, result, indices)
         second = render_detailed_report(tool, result, indices)
-        assert first.body == second.body
-        assert first.generated_at is None
+        assert first == second
+        assert "Generated:" not in first
 
     def test_caller_injected_timestamp(self, corpus8):
         tool, _, result, indices = _graded(corpus8, "pecarn")
-        report = render_detailed_report(tool, result, indices, generated_at="2020-01-01T00:00:00Z")
-        assert "2020-01-01T00:00:00Z" in report.body
-        assert report.generated_at == "2020-01-01T00:00:00Z"
+        body = render_detailed_report(tool, result, indices, generated_at="2020-01-01T00:00:00Z")
+        assert "Generated: 2020-01-01T00:00:00Z" in body.splitlines()
 
     def test_engine_policy_fingerprint_exposed(self, corpus8):
         tool, _, result, indices = _graded(corpus8, "pecarn")
-        report = render_detailed_report(tool, result, indices)
-        assert report.engine_policy == POLICY.fingerprint()
+        body = render_detailed_report(tool, result, indices)
+        assert f"Policy: {POLICY.fingerprint()}" in body.splitlines()
 
     def test_free_text_cells_cannot_break_the_table(self, corpus8):
         tool, _, result, indices = _graded(corpus8, "taylor")
         hostile = replace(tool, intended_use="predict a | b\nand c")
-        body = render_detailed_report(hostile, result, indices).body
+        body = render_detailed_report(hostile, result, indices)
         assert _cells(body, "Intended Use") == ["predict a \\| b and c"]
         for line in body.splitlines():
             if line.startswith("|"):
@@ -141,9 +140,7 @@ class TestDetailedReport:
 class TestLegacyLayout:
     def test_legacy_rows_present(self, corpus8):
         tool, _, result, indices = _graded(corpus8, "ottawa-knee")
-        body = render_detailed_report(
-            tool, result, indices, ReportFormat.MARKDOWN_TABLE3_LEGACY
-        ).body
+        body = render_detailed_report(tool, result, indices, ReportFormat.MARKDOWN_TABLE3_LEGACY)
         for label, _ in LEGACY_FIELDS + LEGACY_RESULTS:
             assert f"| {label} |" in body, label
         assert "| Tool Label |" not in body
@@ -154,24 +151,20 @@ class TestLegacyLayout:
     def test_modern_b3_maps_to_legacy_b1(self, corpus8):
         tool, _, result, indices = _graded(corpus8, "centor")
         assert result.final_grade is GradeLevel.B3
-        body = render_detailed_report(
-            tool, result, indices, ReportFormat.MARKDOWN_TABLE3_LEGACY
-        ).body
+        body = render_detailed_report(tool, result, indices, ReportFormat.MARKDOWN_TABLE3_LEGACY)
         assert _cells(body, "Final Grade") == ["**B1**"]
         assert "| B3 |" not in body
 
     def test_phase_c_grades_unchanged(self, corpus8):
         tool, _, result, indices = _graded(corpus8, "manuck")
-        body = render_detailed_report(
-            tool, result, indices, ReportFormat.MARKDOWN_TABLE3_LEGACY
-        ).body
+        body = render_detailed_report(tool, result, indices, ReportFormat.MARKDOWN_TABLE3_LEGACY)
         assert _cells(body, "Final Grade") == ["**C2**"]
 
 
 class TestStructured:
     def test_round_trips_to_inputs(self, corpus8):
         tool, _, result, indices = _graded(corpus8, "pecarn")
-        body = render_detailed_report(tool, result, indices, ReportFormat.STRUCTURED).body
+        body = render_detailed_report(tool, result, indices, ReportFormat.STRUCTURED)
         assert json.loads(json.dumps(body)) == body  # plain JSON data throughout
         assert body["tool"] == tool_to_obj(tool)
         assert body["result"]["final_grade"] == result.final_grade.value
@@ -196,20 +189,20 @@ class TestEvidenceSummary:
 
     def test_one_row_per_study(self, corpus8):
         records, report = self._summary(corpus8, "pecarn")
-        rows = [line for line in report.body.splitlines() if line.startswith("| ")]
+        rows = [line for line in report.splitlines() if line.startswith("| ")]
         assert len(rows) == len(records) + 2  # header + separator
 
     def test_rows_ordered_by_year_then_id(self, corpus8):
         records, report = self._summary(corpus8, "centor")
         expected = [r.citation for r in sorted(records, key=lambda r: (r.year, r.id))]
-        rows = [line for line in report.body.splitlines() if line.startswith("| ")][2:]
+        rows = [line for line in report.splitlines() if line.startswith("| ")][2:]
         rendered = [row.split(" | ")[0].removeprefix("| ") for row in rows]
         assert rendered == expected
 
     def test_phase_vocabulary(self, corpus8):
         _, report = self._summary(corpus8, "pecarn")
-        assert "After Implementation" in report.body
-        assert "Planning for Implementation" in report.body
+        assert "After Implementation" in report
+        assert "Planning for Implementation" in report
 
     def test_strength_vocabulary_closed(self, corpus8):
         valid = (
@@ -218,7 +211,7 @@ class TestEvidenceSummary:
         )
         for tool_id in ("centor", "lace", "pecarn"):
             records, report = self._summary(corpus8, tool_id)
-            rows = [line for line in report.body.splitlines() if line.startswith("| ")][2:]
+            rows = [line for line in report.splitlines() if line.startswith("| ")][2:]
             for row in rows:
                 cells = [c.strip() for c in row.strip("|").split(" | ")]
                 direction, matching, quality, strength = cells[-6:-2]
@@ -229,11 +222,11 @@ class TestEvidenceSummary:
         record = make_study("s001", GradeLevel.C3, P)
         appraisals = {"s001": appraise_study(record, POLICY)}
         report = render_evidence_summary([record], appraisals)
-        assert "Strong Evidence" in report.body
+        assert "Strong Evidence" in report
 
     def test_empty_record_list_gives_header_only(self):
         report = render_evidence_summary([], {})
-        rows = [line for line in report.body.splitlines() if line.startswith("| ")]
+        rows = [line for line in report.splitlines() if line.startswith("| ")]
         assert len(rows) == 2
 
     def test_unresolved_strength_rejected(self, corpus8):
@@ -247,7 +240,7 @@ class TestEvidenceSummary:
         records = list(corpus8.studies_for("taylor"))
         appraisals = {s.id: appraise_study(s, POLICY) for s in records}
         report = render_evidence_summary(records, appraisals, ReportFormat.STRUCTURED)
-        entry = report.body["studies"][0]
+        entry = report["studies"][0]
         assert entry["id"] == "taylor-s1"
         assert entry["strength"] == "strong"
         assert entry["direction"] == "positive"
