@@ -246,6 +246,7 @@ LEVELS_BY_STUDY_TYPE: Mapping[StudyType, frozenset[GradeLevel]] = {
     ),
 }
 
+
 def external_validation_level(count: int) -> GradeLevel:
     """The level of a tool's external validations, fixed by how many distinct
     ones it has: two or more are C1 (validated multiple times), one is C2."""

@@ -13,7 +13,7 @@ from grasp.engine import (
     assign_grade,
     compute_indices,
 )
-from grasp.errors import UnresolvedStrength
+from grasp.errors import FormatUnsupported, UnresolvedStrength
 from grasp.model import GradeLevel
 from grasp.report import (
     DETAIL_FIELDS,
@@ -126,6 +126,14 @@ class TestDetailedReport:
         tool, _, result, indices = _graded(corpus8, "pecarn")
         body = render_detailed_report(tool, result, indices)
         assert f"Policy: {POLICY.fingerprint()}" in body.splitlines()
+
+    def test_format_outside_the_enum_rejected(self, corpus8):
+        # Python callers may pass any value; the token string is not the member.
+        tool, _, result, indices = _graded(corpus8, "taylor")
+        with pytest.raises(FormatUnsupported):
+            render_detailed_report(tool, result, indices, "markdown_table4")
+        with pytest.raises(FormatUnsupported):
+            render_evidence_summary([], {}, "markdown_table4")
 
     def test_free_text_cells_cannot_break_the_table(self, corpus8):
         tool, _, result, indices = _graded(corpus8, "taylor")
