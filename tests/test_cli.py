@@ -174,6 +174,21 @@ class TestRaters:
         assert out == ""
         assert "different tools" in err
 
+    def test_disjoint_tool_sets_message(self, capsys, tmp_path):
+        other = tmp_path / "other.csv"
+        other.write_text("tool_id,grade\nsomething-else,A1\ncentor,C3\n")
+        subset = tmp_path / "subset.csv"
+        subset.write_text("tool_id,grade\ncentor,C3\n")
+        listed = "['chalice', 'dietrich', 'lace', 'manuck', 'ottawa-knee', 'pecarn', 'taylor']"
+        assert run(capsys, "raters", R1, str(other)) == (1, "", (
+            f"error: rater sheets cover different tools"
+            f" (only in r1: {listed}; only in other: ['something-else'])\n"
+        ))
+        assert run(capsys, "raters", str(subset), R1) == (1, "", (
+            f"error: rater sheets cover different tools"
+            f" (only in subset: -; only in r1: {listed})\n"
+        ))
+
     def test_large_p_printed_numerically(self, capsys, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
