@@ -31,7 +31,7 @@ from .engine import (
     assign_grade,
     compute_indices,
 )
-from .errors import GraspError, UnsafeReportPath
+from .errors import ConsistencyError, GraspError, UnsafeReportPath
 from .model import GradeResult, ToolProfile
 from .report import ReportFormat, grade_to_obj, render_detailed_report, render_evidence_summary
 
@@ -242,30 +242,25 @@ def _format_p(p_value: float) -> str:
 
 
 def _cmd_raters(args: argparse.Namespace) -> int:
-    sheet_a = corpus_io.parse_rater_sheet(_read(args.sheet_a), name=Path(args.sheet_a).stem)
-    sheet_b = corpus_io.parse_rater_sheet(_read(args.sheet_b), name=Path(args.sheet_b).stem)
-    if set(sheet_a.grades) != set(sheet_b.grades):
-        only_a = sorted(set(sheet_a.grades) - set(sheet_b.grades))
-        only_b = sorted(set(sheet_b.grades) - set(sheet_a.grades))
-        print(
-            f"error: rater sheets cover different tools"
-            f" (only in {sheet_a.name}: {only_a or '-'}; only in {sheet_b.name}: {only_b or '-'})",
-            file=sys.stderr,
+    name_a, name_b = Path(args.sheet_a).stem, Path(args.sheet_b).stem
+    grades_a = corpus_io.parse_rater_sheet(_read(args.sheet_a))
+    grades_b = corpus_io.parse_rater_sheet(_read(args.sheet_b))
+    if grades_a.keys() != grades_b.keys():
+        only_a = sorted(grades_a.keys() - grades_b.keys())
+        only_b = sorted(grades_b.keys() - grades_a.keys())
+        raise ConsistencyError(
+            f"rater sheets cover different tools"
+            f" (only in {name_a}: {only_a or '-'}; only in {name_b}: {only_b or '-'})"
         )
-        return ExitStatus.DATA_ERROR
-    tool_ids = sorted(sheet_a.grades)
+    tool_ids = sorted(grades_a)
     comparison = stats.compare_raters(
-        sheet_a.name,
-        sheet_b.name,
-        tool_ids,
-        [sheet_a.grades[t] for t in tool_ids],
-        [sheet_b.grades[t] for t in tool_ids],
+        [grades_a[t] for t in tool_ids], [grades_b[t] for t in tool_ids]
     )
     n = len(tool_ids)
     if args.format == "structured":
         print(json.dumps({
-            "rater_a": comparison.rater_a_name,
-            "rater_b": comparison.rater_b_name,
+            "rater_a": name_a,
+            "rater_b": name_b,
             "n": n,
             "rho": comparison.rho,
             "p_value": comparison.p_value,

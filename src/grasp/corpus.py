@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
 from operator import attrgetter
-from typing import AbstractSet, Any, Callable, Mapping, Optional, Sequence
+from typing import AbstractSet, Any, Callable, ClassVar, Mapping, Optional, Sequence
 
 from .engine import MatchingRule, PolicyOverrides, QualityRule, TieFallback
 from .errors import (
@@ -72,7 +72,7 @@ class Corpus:
     tools: tuple[ToolProfile, ...]
     studies: tuple[StudyRecord, ...]
     policy: Optional[PolicyOverrides] = None
-    schema_version: str = SCHEMA_VERSION
+    schema_version: ClassVar[str] = SCHEMA_VERSION  # the one version the decoder reads
 
     @cached_property
     def _tools_by_id(self) -> dict[str, ToolProfile]:
@@ -94,14 +94,6 @@ class Corpus:
 
     def studies_for(self, tool_id: str) -> tuple[StudyRecord, ...]:
         return self._studies_by_tool.get(tool_id, ())
-
-
-@dataclass(frozen=True)
-class RaterSheet:
-    """One rater's grades. Sheets carry no name; callers supply one."""
-
-    name: str
-    grades: Mapping[str, GradeLevel]
 
 
 class _Collector:
@@ -605,7 +597,7 @@ def study_to_obj(study: StudyRecord) -> dict:
 def emit_corpus(corpus: Corpus) -> bytes:
     """Serialize to canonical form: fixed key order, ids sorted, 2-space indent."""
     document: dict[str, Any] = {
-        "schema_version": corpus.schema_version,
+        "schema_version": SCHEMA_VERSION,
         "tools": [tool_to_obj(t) for t in sorted(corpus.tools, key=lambda t: t.id)],
         "studies": [study_to_obj(s) for s in sorted(corpus.studies, key=lambda s: s.id)],
     }
@@ -640,8 +632,8 @@ def _csv_rows(data: bytes | str, expected_header: tuple[str, str], what: str) ->
     return rows[1:]
 
 
-def parse_rater_sheet(data: bytes | str, *, name: str = "") -> RaterSheet:
-    """Parse a ``tool_id,grade`` CSV; grade tokens decode case-insensitively."""
+def parse_rater_sheet(data: bytes | str) -> dict[str, GradeLevel]:
+    """Grades by tool id from a ``tool_id,grade`` CSV; tokens decode case-insensitively."""
     grades: dict[str, GradeLevel] = {}
     for lineno, row in _csv_rows(data, ("tool_id", "grade"), "rater sheet"):
         tool_id, token = row[0].strip(), row[1].strip()
@@ -652,7 +644,7 @@ def parse_rater_sheet(data: bytes | str, *, name: str = "") -> RaterSheet:
         if tool_id in grades:
             raise DuplicateTool(f"rater sheet: line {lineno}: tool '{tool_id}' listed twice")
         grades[tool_id] = _enum_tokens(GradeLevel)[token.lower()]
-    return RaterSheet(name=name, grades=grades)
+    return grades
 
 
 def parse_survey_sheet(data: bytes | str) -> dict[str, list[int]]:

@@ -70,10 +70,6 @@ class TieFallback(Enum):
     FAIL_WITH_REVIEW_FLAG = "fail_with_review_flag"
 
 
-#: Equivocal conclusions always count on the negative side of every tally.
-EQUIVOCAL_COUNTS_AS = StudyDirection.NEGATIVE
-
-
 @dataclass(frozen=True)
 class AppraisalPolicy:
     """Settings that parameterise one grading run.
@@ -90,7 +86,7 @@ class AppraisalPolicy:
         return (
             f"matching={self.matching_rule.value}"
             f" quality={self.quality_rule.value}"
-            f" equivocal={EQUIVOCAL_COUNTS_AS.value}"
+            " equivocal=negative"
             f" tie_fallback={self.tie_fallback.value}"
         )
 
@@ -189,6 +185,7 @@ def appraise_study(record: StudyRecord, policy: AppraisalPolicy) -> StudyApprais
 
 
 def _is_positive(direction: StudyDirection) -> bool:
+    # Equivocal conclusions always count on the negative side of every tally.
     return direction is StudyDirection.POSITIVE
 
 
@@ -262,7 +259,6 @@ def aggregate_bucket(
         direction, needs_review, record = mixed_protocol(ordered, tool, policy)
 
     return EvidenceBucket(
-        tool_id=tool.id,
         level=level,
         studies=ordered,
         direction=direction,
@@ -289,7 +285,6 @@ def derive_b1(
     )
     direction = BucketDirection.POSITIVE if both_positive else BucketDirection.MIXED_POSITIVE
     return EvidenceBucket(
-        tool_id=b2.tool_id,
         level=GradeLevel.B1,
         studies=(),
         direction=direction,

@@ -363,7 +363,6 @@ class EvidenceBucket:
     carries the cascade's ``adjudication``; a unanimous one carries none.
     """
 
-    tool_id: str
     level: GradeLevel
     studies: tuple[StudyRecord, ...]
     direction: BucketDirection
@@ -428,13 +427,8 @@ class GradeResult:
 
 @dataclass(frozen=True)
 class RaterComparison:
-    """Paired grade vectors from two raters with their agreement statistics."""
+    """Agreement statistics of two raters' paired grades."""
 
-    rater_a_name: str
-    rater_b_name: str
-    tool_ids: tuple[str, ...]
-    grades_a: tuple[GradeLevel, ...]
-    grades_b: tuple[GradeLevel, ...]
     rho: float
     p_value: float
     exact_agreement: int

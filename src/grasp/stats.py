@@ -93,32 +93,18 @@ def permutation_p(x: Sequence[float], y: Sequence[float]) -> float:
 
 
 def compare_raters(
-    rater_a_name: str,
-    rater_b_name: str,
-    tool_ids: Sequence[str],
-    grades_a: Sequence[GradeLevel],
-    grades_b: Sequence[GradeLevel],
+    grades_a: Sequence[GradeLevel], grades_b: Sequence[GradeLevel]
 ) -> RaterComparison:
-    """Compare two raters' grade vectors on the ordinal scale.
+    """Compare two raters' paired grades of the same tools on the ordinal scale.
 
     Grades map through their ordinal rank; the comparison carries the
     tie-corrected correlation, the exact permutation p-value, and the count
     of tools graded identically.
     """
-    if not (len(tool_ids) == len(grades_a) == len(grades_b)):
-        raise LengthMismatch(
-            f"tool ids and grade vectors differ in length:"
-            f" {len(tool_ids)}, {len(grades_a)}, {len(grades_b)}"
-        )
     ranks_a = [ordinal_rank(g) for g in grades_a]
     ranks_b = [ordinal_rank(g) for g in grades_b]
     rho = spearman_rho(ranks_a, ranks_b)
     return RaterComparison(
-        rater_a_name=rater_a_name,
-        rater_b_name=rater_b_name,
-        tool_ids=tuple(tool_ids),
-        grades_a=tuple(grades_a),
-        grades_b=tuple(grades_b),
         rho=rho,
         p_value=permutation_p(ranks_a, ranks_b),
         exact_agreement=sum(a is b for a, b in zip(grades_a, grades_b)),

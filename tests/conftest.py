@@ -34,6 +34,6 @@ def corpus8_bytes():
 @pytest.fixture(scope="session")
 def rater_sheets():
     return {
-        name: parse_rater_sheet((FIXTURES / "raters" / f"{name}.csv").read_bytes(), name=name)
+        name: parse_rater_sheet((FIXTURES / "raters" / f"{name}.csv").read_bytes())
         for name in ("r1", "r2", "authors")
     }

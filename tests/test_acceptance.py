@@ -66,11 +66,8 @@ def test_c1_interrater_reproduction(rater_sheets, capsys):
     outcomes = {}
     for (name_a, name_b), rho in expected.items():
         a, b = rater_sheets[name_a], rater_sheets[name_b]
-        tool_ids = sorted(a.grades)
-        comparison = compare_raters(
-            name_a, name_b, tool_ids,
-            [a.grades[t] for t in tool_ids], [b.grades[t] for t in tool_ids],
-        )
+        tool_ids = sorted(a)
+        comparison = compare_raters([a[t] for t in tool_ids], [b[t] for t in tool_ids])
         outcomes[(name_a, name_b)] = (comparison.rho, comparison.p_value)
     elapsed = time.perf_counter() - started
 

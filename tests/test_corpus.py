@@ -157,6 +157,11 @@ class TestParse:
         assert len(corpus8.studies) == 30
         assert corpus8.schema_version == "grasp-corpus/1"
 
+    def test_schema_version_is_not_a_field(self):
+        # The decoder accepts one version only, so a corpus cannot hold another.
+        with pytest.raises(TypeError):
+            Corpus(tools=(), studies=(), schema_version="grasp-corpus/2")
+
     def test_empty_corpus_is_valid(self):
         corpus = parse_corpus(EMPTY)
         assert corpus.tools == () and corpus.studies == ()
@@ -580,19 +585,18 @@ class TestEnumTokens:
     def test_rater_sheet_grade_spellings(self, level):
         for token in _spellings(level.value):
             sheet = parse_rater_sheet(f"tool_id,grade\nt,{token}\n".encode())
-            assert sheet.grades["t"] is level
+            assert sheet["t"] is level
 
 
 class TestRaterSheet:
     def test_fixture_authors(self, rater_sheets):
         sheet = rater_sheets["authors"]
-        assert len(sheet.grades) == 8
-        assert sheet.grades["ottawa-knee"] is GradeLevel.A1
-        assert sheet.name == "authors"
+        assert len(sheet) == 8
+        assert sheet["ottawa-knee"] is GradeLevel.A1
 
     def test_lowercase_tokens(self):
-        sheet = parse_rater_sheet(b"tool_id,grade\nottawa,a1\n", name="x")
-        assert sheet.grades["ottawa"] is GradeLevel.A1
+        sheet = parse_rater_sheet(b"tool_id,grade\nottawa,a1\n")
+        assert sheet["ottawa"] is GradeLevel.A1
 
     def test_duplicate_tool(self):
         with pytest.raises(DuplicateTool):

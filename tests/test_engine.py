@@ -335,7 +335,7 @@ class TestDeriveB1:
 
     def test_review_flag_propagates(self):
         flagged = EvidenceBucket(
-            tool_id="tool-001", level=GradeLevel.B2, studies=(),
+            level=GradeLevel.B2, studies=(),
             direction=BucketDirection.MIXED_POSITIVE, needs_review=True,
         )
         b1 = derive_b1(flagged, _bucket(GradeLevel.B3, BucketDirection.POSITIVE))

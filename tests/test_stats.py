@@ -175,10 +175,8 @@ def _column(idx):
 
 
 class TestCompareRaters:
-    def compare(self, a_idx, b_idx, names=("a", "b")):
-        return compare_raters(
-            names[0], names[1], list(REFERENCE_GRADES), _column(a_idx), _column(b_idx)
-        )
+    def compare(self, a_idx, b_idx):
+        return compare_raters(_column(a_idx), _column(b_idx))
 
     def test_r1_vs_authors(self):
         comparison = self.compare(0, 2)
@@ -211,7 +209,7 @@ class TestCompareRaters:
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
-            compare_raters("a", "b", ["t1"], _column(0), _column(1))
+            compare_raters(_column(0)[:1], _column(1))
 
 
 class TestLikert:
