@@ -147,6 +147,13 @@ def _as_list(value: Any, path: str) -> list:
 def _as_str(value: Any, path: str) -> str:
     if not isinstance(value, str):
         raise SchemaError(f"{path}: expected a string, got {type(value).__name__}")
+    # json.loads reads a lone surrogate escape such as "\ud800", which no
+    # UTF-8 report or corpus file can hold.
+    if not value.isascii():
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise SchemaError(f"{path}: string holds a lone UTF-16 surrogate") from None
     return value
 
 

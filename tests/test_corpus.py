@@ -245,6 +245,22 @@ class TestParse:
             parse_corpus(json.dumps(doc).encode())
         assert "year" in str(err.value) and "integer" in str(err.value)
 
+    @pytest.mark.parametrize("where, field", [
+        ("tools", "name"), ("tools", "category"), ("studies", "notes"), ("studies", "direction"),
+    ])
+    def test_lone_surrogate_rejected(self, corpus8_bytes, where, field):
+        doc = _doc(corpus8_bytes)
+        doc[where][0][field] += "\ud800"
+        data = json.dumps(doc).encode()  # ASCII: the surrogate is written as an escape
+        with pytest.raises(SchemaError) as err:
+            parse_corpus(data)
+        assert str(err.value) == f"$.{where}[0].{field}: string holds a lone UTF-16 surrogate"
+
+    def test_non_ascii_strings_still_accepted(self, corpus8_bytes):
+        doc = _doc(corpus8_bytes)
+        doc["tools"][0]["name"] = "Centor \u00e9\U0001f600"
+        assert parse_corpus(json.dumps(doc).encode()).tool("centor").name.endswith("\U0001f600")
+
     def test_unknown_field_strict_vs_lenient(self, corpus8_bytes):
         doc = _doc(corpus8_bytes)
         doc["tools"][0]["shoe_size"] = 42
