@@ -130,9 +130,14 @@ def _decode_object(pairs: list[tuple[str, Any]]) -> _Object:
     return obj
 
 
+def _type_name(value: Any) -> str:
+    """A value's type as a rejection names it; a JSON object is an object."""
+    return "object" if isinstance(value, dict) else type(value).__name__
+
+
 def _as_obj(value: Any, path: str) -> dict:
     if not isinstance(value, dict):
-        raise SchemaError(f"{path}: expected an object, got {type(value).__name__}")
+        raise SchemaError(f"{path}: expected an object, got {_type_name(value)}")
     if isinstance(value, _Object) and value.repeated:
         raise SchemaError(f"{path}.{value.repeated[0]}: duplicate field")
     return value
@@ -140,13 +145,13 @@ def _as_obj(value: Any, path: str) -> dict:
 
 def _as_list(value: Any, path: str) -> list:
     if not isinstance(value, list):
-        raise SchemaError(f"{path}: expected an array, got {type(value).__name__}")
+        raise SchemaError(f"{path}: expected an array, got {_type_name(value)}")
     return value
 
 
 def _as_str(value: Any, path: str) -> str:
     if not isinstance(value, str):
-        raise SchemaError(f"{path}: expected a string, got {type(value).__name__}")
+        raise SchemaError(f"{path}: expected a string, got {_type_name(value)}")
     # json.loads reads a lone surrogate escape such as "\ud800", which no
     # UTF-8 report or corpus file can hold.
     if not value.isascii():
@@ -159,19 +164,19 @@ def _as_str(value: Any, path: str) -> str:
 
 def _as_bool(value: Any, path: str) -> bool:
     if not isinstance(value, bool):
-        raise SchemaError(f"{path}: expected a boolean, got {type(value).__name__}")
+        raise SchemaError(f"{path}: expected a boolean, got {_type_name(value)}")
     return value
 
 
 def _as_int(value: Any, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"{path}: expected an integer, got {type(value).__name__}")
+        raise SchemaError(f"{path}: expected an integer, got {_type_name(value)}")
     return value
 
 
 def _as_number(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{path}: expected a number, got {type(value).__name__}")
+        raise SchemaError(f"{path}: expected a number, got {_type_name(value)}")
     # json.loads reads NaN and +-Infinity (1e400 too), which cannot be emitted
     # as JSON; an integer beyond the float range cannot be stored at all.
     if not abs(value) <= sys.float_info.max:

@@ -245,6 +245,22 @@ class TestParse:
             parse_corpus(json.dumps(doc).encode())
         assert "year" in str(err.value) and "integer" in str(err.value)
 
+    @pytest.mark.parametrize("field, value, expected", [
+        ("name", {}, "a string, got object"),
+        ("input_source", {"a": 1}, "an array, got object"),
+        ("name", [], "a string, got list"),
+        ("input_source", "ehr", "an array, got str"),
+        ("name", 5, "a string, got int"),
+        ("name", True, "a string, got bool"),
+        ("name", None, "a string, got NoneType"),
+    ])
+    def test_wrong_type_names_the_json_type(self, corpus8_bytes, field, value, expected):
+        doc = _doc(corpus8_bytes)
+        doc["tools"][0][field] = value
+        with pytest.raises(SchemaError) as err:
+            parse_corpus(json.dumps(doc).encode())
+        assert str(err.value) == f"$.tools[0].{field}: expected {expected}"
+
     @pytest.mark.parametrize("where, field", [
         ("tools", "name"), ("tools", "category"), ("studies", "notes"), ("studies", "direction"),
     ])
