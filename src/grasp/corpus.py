@@ -386,8 +386,7 @@ def _decode_record(value: Any, path: str, table: _Table, sink: _Collector):
     obj = _as_obj(value, path)
     _check_unknown(obj, table.keys, path, sink)
     for key in table.required:
-        if key not in obj:
-            raise SchemaError(f"{path}.{key}: required field is missing")
+        _require(obj, key, path)
     return table.model(**{
         attr: decode(obj[key], f"{path}.{key}", sink)
         for key, attr, decode in table.decoders
@@ -453,8 +452,12 @@ _TOP_KEYS = frozenset({"schema_version", "tools", "studies", "policy"})
 def _cross_checks(
     tools: list[tuple[str, ToolProfile]],
     studies: list[tuple[str, StudyRecord]],
+    unparsed: AbstractSet[str],
+    incomplete: AbstractSet[str],
     sink: _Collector,
 ) -> None:
+    # A record that failed to decode is listed once, at its path: no study of an
+    # ``unparsed`` tool dangles, and an ``incomplete`` tool's studies are not cross-checked.
     seen_tools: dict[str, str] = {}
     for path, tool in tools:
         if tool.id in seen_tools:
@@ -471,13 +474,15 @@ def _cross_checks(
                 f"{path}.id: duplicate study id '{study.id}' (also at {seen_studies[study.id]})"
             ))
         seen_studies[study.id] = path
-        if study.tool_id not in seen_tools:
+        if study.tool_id not in seen_tools and study.tool_id not in unparsed:
             sink.error(DanglingReferenceError(
                 f"{path}.tool_id: no tool with id '{study.tool_id}'"
             ))
         by_tool.setdefault(study.tool_id, []).append((path, study))
 
     for tool_path, tool in tools:
+        if tool.id in incomplete:
+            continue
         attached = by_tool.get(tool.id, [])
         external = [(p, s) for p, s in attached if s.study_type is StudyType.EXTERNAL_VALIDATION]
         if external:
@@ -539,13 +544,17 @@ def load_corpus(
         return None, [exc, *sink.errors], sink.warnings
 
     tools: list[tuple[str, ToolProfile]] = []
+    unparsed: set[str] = set()
     for i, raw in enumerate(raw_tools):
         path = f"$.tools[{i}]"
         try:
             tools.append((path, _decode_record(raw, path, _TOOL_TABLE, sink)))
         except CorpusError as exc:
             sink.error(exc)
+            if isinstance(raw, dict) and isinstance(raw.get("id"), str):
+                unparsed.add(raw["id"])
     studies: list[tuple[str, StudyRecord]] = []
+    incomplete: set[str] = set()
     for i, raw in enumerate(raw_studies):
         path = f"$.studies[{i}]"
         try:
@@ -554,6 +563,8 @@ def load_corpus(
             studies.append((path, study))
         except CorpusError as exc:
             sink.error(exc)
+            if isinstance(raw, dict) and isinstance(raw.get("tool_id"), str):
+                incomplete.add(raw["tool_id"])
 
     policy = None
     if "policy" in top:
@@ -564,7 +575,7 @@ def load_corpus(
         if policy == PolicyOverrides():
             policy = None
 
-    _cross_checks(tools, studies, sink)
+    _cross_checks(tools, studies, unparsed, incomplete, sink)
     if sink.errors:
         return None, sink.errors, sink.warnings
 

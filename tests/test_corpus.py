@@ -431,6 +431,41 @@ class TestParse:
         assert str(errors[0]) == f"$.studies[{index}].matching_fields.predictive_task: duplicate field"
 
 
+#: The fields of a tool and of a study, less the identities (``id``,
+#: ``tool_id``) without which a rejection cannot name its record.
+TOOL_FIELDS = (
+    "name", "author", "country", "year", "category", "intended_use", "intended_user",
+    "clinical_area", "target_population", "target_outcome", "action", "input_source",
+    "input_type", "local_context", "methodology", "internal_validation_method",
+    "dedicated_support", "endorsement", "automation", "tool_citations", "studies_count",
+    "authors_count", "sample_size", "journal_name", "journal_rank",
+)
+STUDY_FIELDS = (
+    "citation", "country", "year", "phase", "study_type", "comparative", "level", "direction",
+    "matching_fields", "quality_fields", "matching_override", "quality_override",
+    "impact_subtype", "label", "sample_size", "notes",
+)
+
+
+class TestOneFaultOneError:
+    # studies[1] is centor-s2, one of centor's two external validations: once
+    # it is rejected, neither centor's study count nor the level its remaining
+    # external validation needs may be checked against the records left.
+    @pytest.mark.parametrize("where, index, field", [
+        *(("tools", 0, field) for field in TOOL_FIELDS),
+        *(("studies", 1, field) for field in STUDY_FIELDS),
+    ])
+    def test_wrong_type_is_listed_once_at_its_field(self, corpus8_bytes, where, index, field):
+        doc = _doc(corpus8_bytes)
+        doc[where][index][field] = [] if field.endswith("_fields") else {}
+        data = json.dumps(doc).encode()
+        corpus, errors, _ = load_corpus(data, strict=True)
+        assert corpus is None
+        assert [str(e).split(": ")[0] for e in errors] == [f"$.{where}[{index}].{field}"]
+        corpus, errors, warnings = load_corpus(data, strict=False)
+        assert len(errors) == 1 and warnings == []
+
+
 class TestFieldOrder:
     """A record's fields are checked in canonical key order; the first bad one is reported."""
 
