@@ -272,7 +272,7 @@ class TestParse:
             parse_corpus(data)
         assert str(err.value) == f"$.{where}[0].{field}: string holds a lone UTF-16 surrogate"
 
-    def test_non_ascii_strings_still_accepted(self, corpus8_bytes):
+    def test_surrogate_pair_escapes_still_accepted(self, corpus8_bytes):
         doc = _doc(corpus8_bytes)
         doc["tools"][0]["name"] = "Centor \u00e9\U0001f600"
         assert parse_corpus(json.dumps(doc).encode()).tool("centor").name.endswith("\U0001f600")
