@@ -26,14 +26,11 @@ from .engine import (
     aggregate_bucket,
     appraise_study,
     assign_grade,
-    classify_evidence_class,
-    classify_strength,
     compute_indices,
     derive_b1,
     mixed_protocol,
     resolve_matching,
     resolve_quality,
-    tool_label,
 )
 from .errors import GraspError
 from .model import (
@@ -105,8 +102,6 @@ __all__ = [
     "agreement_label",
     "appraise_study",
     "assign_grade",
-    "classify_evidence_class",
-    "classify_strength",
     "compare_raters",
     "compute_indices",
     "derive_b1",
@@ -126,5 +121,4 @@ __all__ = [
     "resolve_quality",
     "spearman_rho",
     "summarize_survey",
-    "tool_label",
 ]

@@ -137,7 +137,8 @@ def _reference_year(args: argparse.Namespace, corpus: corpus_io.Corpus, tool: To
 
 
 def _grade_line(result: GradeResult) -> str:
-    label = f'"{result.tool_label}"' if result.tool_label else "-"
+    label = result.tool_label
+    label = f'"{label}"' if label else "-"
     line = (
         f"{result.tool_id} {result.final_grade.value}"
         f" {_DIRECTION_TOKENS[result.direction.value]} {label}"
@@ -182,18 +183,21 @@ def _write_reports(
 ) -> None:
     directory = Path(out_dir)
     suffix = ".json" if layout is ReportFormat.STRUCTURED else ".md"
-    # Every target is checked before anything is written.
+    # Every target is checked and every document built before anything is written.
     for tool, _ in graded:
         name = f"{tool.id}{suffix}"
         if Path(name).name != name or "\0" in name:
             raise UnsafeReportPath(
                 f"tool id {tool.id!r} is not a plain file name; no report written to {directory}"
             )
-    directory.mkdir(parents=True, exist_ok=True)
+    files = []
     for tool, document in _documents(args, corpus, policy, graded, layout):
         if layout is ReportFormat.STRUCTURED:
             document = json.dumps(document, indent=2, ensure_ascii=False) + "\n"
-        _write_atomically(directory / f"{tool.id}{suffix}", document)
+        files.append((directory / f"{tool.id}{suffix}", document))
+    directory.mkdir(parents=True, exist_ok=True)
+    for path, text in files:
+        _write_atomically(path, text)
 
 
 def _write_atomically(path: Path, text: str) -> None:

@@ -673,23 +673,18 @@ def parse_rater_sheet(data: bytes | str) -> dict[str, GradeLevel]:
 def parse_survey_sheet(data: bytes | str) -> dict[str, list[int]]:
     """Parse a ``question_id,response`` CSV into responses per question.
 
-    Question order follows first appearance; responses must be integers 1-5.
+    Question order follows first appearance; a response is exactly one of the
+    ASCII digits 1-5, so signs, leading zeros, underscores and the digits of
+    other scripts are rejected.
     """
     responses: dict[str, list[int]] = {}
     for lineno, row in _csv_rows(data, ("question_id", "response"), "survey sheet"):
         question_id, token = row[0].strip(), row[1].strip()
         if not question_id:
             raise SchemaError(f"survey sheet: line {lineno}: empty question_id")
-        try:
-            # ASCII only: int() also reads the digits of other scripts.
-            value = int(token.encode("ascii"))
-        except ValueError:  # UnicodeEncodeError included
+        if token not in ("1", "2", "3", "4", "5"):
             raise OutOfRange(
                 f"survey sheet: line {lineno}: response must be an integer 1..5, got '{token}'"
-            ) from None
-        if not 1 <= value <= 5:
-            raise OutOfRange(
-                f"survey sheet: line {lineno}: response must be 1..5, got {value}"
             )
-        responses.setdefault(question_id, []).append(value)
+        responses.setdefault(question_id, []).append(int(token))
     return responses

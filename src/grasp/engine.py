@@ -3,9 +3,9 @@
 The pipeline is: resolve each study's matching and quality, aggregate the
 studies of every grade level into a bucket with a direction, resolve mixed
 buckets through the class-based adjudication cascade, derive the joint B1
-bucket when both B2 and B3 qualify, and finally scan the ladder from A1
-downwards for the first bucket whose direction supports a positive
-conclusion.
+bucket when both B2 and B3 qualify, and finally order the buckets from A1
+downwards: the first whose direction supports a positive conclusion sets
+the grade.
 
 Everything here is a pure function over immutable inputs; grading many
 tools in parallel needs no coordination.
@@ -13,7 +13,6 @@ tools in parallel needs no coordination.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
@@ -28,7 +27,6 @@ from .errors import (
 )
 from .model import (
     ADJUDICATION_STEPS,
-    GRADE_SCAN_ORDER,
     MATCHING_FIELD_KEYS,
     Adjudication,
     BucketDirection,
@@ -37,7 +35,6 @@ from .model import (
     GradeLevel,
     GradeResult,
     MatchingVerdict,
-    OutcomeLabel,
     QualityVerdict,
     StrengthVerdict,
     StudyDirection,
@@ -157,31 +154,26 @@ _APPRAISAL_TABLE = {
 }
 
 
-def classify_strength(matching: MatchingVerdict, quality: QualityVerdict) -> StrengthVerdict:
-    """Strong for matching high-quality evidence, weak for non-matching low-quality, medium between."""
-    return _APPRAISAL_TABLE[(matching, quality)][0]
-
-
-def classify_evidence_class(matching: MatchingVerdict, quality: QualityVerdict) -> EvidenceClass:
-    """Adjudication class: the same table as strength with A/B/C in place of strong/medium/weak."""
-    return _APPRAISAL_TABLE[(matching, quality)][1]
-
-
 @dataclass(frozen=True)
 class StudyAppraisal:
     """Resolved verdicts for one study under a policy."""
 
     matching: MatchingVerdict
     quality: QualityVerdict
-    strength: StrengthVerdict
-    evidence_class: EvidenceClass
+
+    @property
+    def strength(self) -> StrengthVerdict:
+        """Strong for matching high-quality evidence, weak for non-matching low-quality, medium between."""
+        return _APPRAISAL_TABLE[(self.matching, self.quality)][0]
+
+    @property
+    def evidence_class(self) -> EvidenceClass:
+        """Adjudication class: the strength table with A/B/C in place of strong/medium/weak."""
+        return _APPRAISAL_TABLE[(self.matching, self.quality)][1]
 
 
 def appraise_study(record: StudyRecord, policy: AppraisalPolicy) -> StudyAppraisal:
-    matching = resolve_matching(record, policy)
-    quality = resolve_quality(record, policy)
-    strength, evidence_class = _APPRAISAL_TABLE[(matching, quality)]
-    return StudyAppraisal(matching, quality, strength, evidence_class)
+    return StudyAppraisal(resolve_matching(record, policy), resolve_quality(record, policy))
 
 
 def _is_positive(direction: StudyDirection) -> bool:
@@ -191,7 +183,7 @@ def _is_positive(direction: StudyDirection) -> bool:
 
 def mixed_protocol(
     studies: Sequence[StudyRecord], tool: ToolProfile, policy: AppraisalPolicy
-) -> tuple[BucketDirection, bool, Adjudication]:
+) -> tuple[BucketDirection, Adjudication]:
     """Adjudicate a bucket holding both positive and non-positive conclusions.
 
     Studies are partitioned into classes A/B/C by matching and quality. The
@@ -202,8 +194,8 @@ def mixed_protocol(
     back to the policy: conservative mixed-negative with a review flag, or an
     AdjudicationRequired error.
 
-    Returns (direction, needs_review, record); the record holds the class
-    tallies and the deciding step, None when the fallback fired.
+    Returns (direction, record); the record holds the class tallies and the
+    deciding step, None when the fallback fired (the bucket then needs review).
     """
     positives = [s for s in studies if _is_positive(s.direction)]
     if not positives or len(positives) == len(studies):
@@ -221,13 +213,13 @@ def mixed_protocol(
             direction = (
                 BucketDirection.MIXED_POSITIVE if pos > neg else BucketDirection.MIXED_NEGATIVE
             )
-            return direction, False, Adjudication(undecided.tallies, step)
+            return direction, Adjudication(undecided.tallies, step)
 
     if policy.tie_fallback is TieFallback.FAIL_WITH_REVIEW_FLAG:
         raise AdjudicationRequired(
             f"tool '{tool.id}': mixed evidence tied at every step; manual adjudication required"
         )
-    return BucketDirection.MIXED_NEGATIVE, True, undecided
+    return BucketDirection.MIXED_NEGATIVE, undecided
 
 
 def aggregate_bucket(
@@ -252,19 +244,13 @@ def aggregate_bucket(
     n_pos = sum(_is_positive(s.direction) for s in ordered)
     record: Optional[Adjudication] = None
     if n_pos == len(ordered):
-        direction, needs_review = BucketDirection.POSITIVE, False
+        direction = BucketDirection.POSITIVE
     elif n_pos == 0:
-        direction, needs_review = BucketDirection.NEGATIVE, False
+        direction = BucketDirection.NEGATIVE
     else:
-        direction, needs_review, record = mixed_protocol(ordered, tool, policy)
+        direction, record = mixed_protocol(ordered, tool, policy)
 
-    return EvidenceBucket(
-        level=level,
-        studies=ordered,
-        direction=direction,
-        needs_review=needs_review,
-        adjudication=record,
-    )
+    return EvidenceBucket(level=level, studies=ordered, direction=direction, adjudication=record)
 
 
 def derive_b1(
@@ -274,7 +260,8 @@ def derive_b1(
 
     B1 exists only when potential-effect and usability evidence are both
     present and both qualify; it is positive only when both constituents are,
-    and never upgrades a mixed-positive constituent.
+    and never upgrades a mixed-positive constituent. It never needs review: a
+    bucket flagged for review is mixed-negative, which does not qualify.
     """
     if b2 is None or b3 is None:
         return None
@@ -284,13 +271,7 @@ def derive_b1(
         b2.direction is BucketDirection.POSITIVE and b3.direction is BucketDirection.POSITIVE
     )
     direction = BucketDirection.POSITIVE if both_positive else BucketDirection.MIXED_POSITIVE
-    return EvidenceBucket(
-        level=GradeLevel.B1,
-        studies=(),
-        direction=direction,
-        needs_review=b2.needs_review or b3.needs_review,
-        sources=(b2, b3),
-    )
+    return EvidenceBucket(level=GradeLevel.B1, studies=(), direction=direction, sources=(b2, b3))
 
 
 def build_buckets(
@@ -326,34 +307,6 @@ def build_buckets(
     return buckets
 
 
-def _justification(
-    fingerprint: str,
-    final: GradeLevel,
-    supporting: Optional[EvidenceBucket],
-    ordered: Sequence[EvidenceBucket],
-) -> str:
-    parts = []
-    if supporting is not None:
-        parts.append(
-            f"final grade {final.value}: {supporting.direction.value} evidence at"
-            f" {supporting.level.value} ({supporting.level.descriptor.lower()})"
-        )
-        failed = [b for b in ordered if ordinal_rank(b.level) > ordinal_rank(final)]
-        if failed:
-            parts.append(
-                "higher levels not qualifying: "
-                + ", ".join(f"{b.level.value} {b.direction.value}" for b in failed)
-            )
-    else:
-        parts.append("final grade C0: no level holds positive or mixed-positive evidence")
-        parts.append(
-            "not qualifying: "
-            + ", ".join(f"{b.level.value} {b.direction.value}" for b in ordered)
-        )
-    parts.append(f"policy[{fingerprint}]")
-    return "; ".join(parts)
-
-
 def assign_grade(
     tool: ToolProfile,
     studies: Sequence[StudyRecord],
@@ -361,10 +314,9 @@ def assign_grade(
 ) -> GradeResult:
     """Grade a tool from its study records.
 
-    The final grade is the highest level whose bucket direction is positive
-    or mixed-positive; C0 when no bucket qualifies. The result's
-    justification names the supporting bucket, its direction, every higher
-    bucket that failed to qualify, and the active policy.
+    The result holds the tool's buckets, highest level first, and the policy
+    fingerprint; its final grade is the highest level whose bucket direction
+    is positive or mixed-positive, C0 when no bucket qualifies.
     """
     policy = policy or AppraisalPolicy()
     foreign = [s.id for s in studies if s.tool_id != tool.id]
@@ -375,67 +327,8 @@ def assign_grade(
     if not buckets:
         raise NoGradableEvidence(f"tool '{tool.id}': no gradable study records")
 
-    ordered = tuple(
-        sorted(buckets.values(), key=lambda b: ordinal_rank(b.level), reverse=True)
-    )
-    supporting = next(
-        (buckets[level] for level in GRADE_SCAN_ORDER if level in buckets and buckets[level].qualifies),
-        None,
-    )
-    final = supporting.level if supporting is not None else GradeLevel.C0
-    direction = supporting.direction if supporting is not None else ordered[0].direction
-    fingerprint = policy.fingerprint()
-
-    return GradeResult(
-        tool_id=tool.id,
-        final_grade=final,
-        direction=direction,
-        justification=_justification(fingerprint, final, supporting, ordered),
-        needs_review=any(b.needs_review for b in ordered),
-        all_buckets=ordered,
-        supporting_bucket=supporting,
-        tool_label=_label_for(final, supporting),
-        policy=fingerprint,
-    )
-
-
-#: Fixed tie-break order for the tool label word.
-LABEL_TIE_ORDER = (
-    OutcomeLabel.EFFECTIVENESS,
-    OutcomeLabel.SAFETY,
-    OutcomeLabel.EFFICIENCY,
-    OutcomeLabel.WORKFLOW,
-    OutcomeLabel.PROCESSES,
-)
-
-
-def tool_label(result: GradeResult) -> Optional[str]:
-    """One-word label of the most prominent positive finding, e.g. "Grade A2 - Efficiency".
-
-    The word is the most frequent outcome tag among positive studies of the
-    supporting bucket (for B1, of its source buckets); frequency ties break
-    by the fixed order effectiveness > safety > efficiency > workflow >
-    processes. C0 results and unlabelled buckets yield no label.
-    """
-    return _label_for(result.final_grade, result.supporting_bucket)
-
-
-def _label_for(final: GradeLevel, bucket: Optional[EvidenceBucket]) -> Optional[str]:
-    if final is GradeLevel.C0 or bucket is None:
-        return None
-    studies = bucket.studies if bucket.studies else tuple(
-        s for source in bucket.sources for s in source.studies
-    )
-    counts = Counter(
-        label
-        for record in studies
-        if _is_positive(record.direction)
-        for label in record.labels
-    )
-    if not counts:
-        return None
-    word = max(counts, key=lambda lab: (counts[lab], -LABEL_TIE_ORDER.index(lab)))
-    return f"Grade {final.value} - {word.display}"
+    ordered = tuple(sorted(buckets.values(), key=lambda b: ordinal_rank(b.level), reverse=True))
+    return GradeResult(tool.id, ordered, policy.fingerprint())
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ concurrent tasks without coordination.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, NamedTuple, Optional
@@ -108,10 +109,6 @@ _EVIDENCE_LABEL = {
 def ordinal_rank(level: GradeLevel) -> int:
     """Fixed ordinal position of a grade: C0=0 up to A1=9."""
     return _RANK[level]
-
-
-#: Levels scanned for a final grade, best first. C0 is the fallback outcome.
-GRADE_SCAN_ORDER = tuple(level for level in reversed(GradeLevel) if level is not GradeLevel.C0)
 
 
 class StudyDirection(Enum):
@@ -211,6 +208,16 @@ class OutcomeLabel(Enum):
     @property
     def display(self) -> str:
         return self.value.capitalize()
+
+
+#: Fixed tie-break order for the tool label word.
+LABEL_TIE_ORDER = (
+    OutcomeLabel.EFFECTIVENESS,
+    OutcomeLabel.SAFETY,
+    OutcomeLabel.EFFICIENCY,
+    OutcomeLabel.WORKFLOW,
+    OutcomeLabel.PROCESSES,
+)
 
 
 #: Study conditions compared against the tool's original specification.
@@ -366,13 +373,17 @@ class EvidenceBucket:
     level: GradeLevel
     studies: tuple[StudyRecord, ...]
     direction: BucketDirection
-    needs_review: bool
     sources: tuple["EvidenceBucket", ...] = ()
     adjudication: Optional[Adjudication] = None
 
     @property
     def qualifies(self) -> bool:
         return self.direction.qualifies
+
+    @property
+    def needs_review(self) -> bool:
+        """Whether the cascade tied at every step and the conservative fallback decided."""
+        return self.adjudication is not None and self.adjudication.step is None
 
     @property
     def adjudication_trace(self) -> tuple[str, ...]:
@@ -406,23 +417,82 @@ class EvidenceBucket:
 
 @dataclass(frozen=True)
 class GradeResult:
-    """Outcome of grading one tool.
+    """Outcome of grading one tool: its buckets, highest level first, and the
+    fingerprint of the appraisal policy that built them.
 
-    ``final_grade`` is C0 exactly when no bucket direction qualifies; in that
-    case ``supporting_bucket`` is absent and ``direction`` reports the verdict
-    of the highest-ranked bucket. ``policy`` is the fingerprint of the
-    appraisal policy that produced the result.
+    Every other view of the grade is read off the buckets. The supporting
+    bucket is the first whose direction qualifies and sets the final grade
+    and direction. When none qualifies it is None, the grade is C0 and the
+    direction is that of the highest-ranked bucket.
     """
 
     tool_id: str
-    final_grade: GradeLevel
-    direction: BucketDirection
-    justification: str
-    needs_review: bool
     all_buckets: tuple[EvidenceBucket, ...]
-    supporting_bucket: Optional[EvidenceBucket] = None
-    tool_label: Optional[str] = None
-    policy: str = ""
+    policy: str
+
+    @property
+    def supporting_bucket(self) -> Optional[EvidenceBucket]:
+        return next((bucket for bucket in self.all_buckets if bucket.qualifies), None)
+
+    @property
+    def final_grade(self) -> GradeLevel:
+        supporting = self.supporting_bucket
+        return GradeLevel.C0 if supporting is None else supporting.level
+
+    @property
+    def direction(self) -> BucketDirection:
+        return (self.supporting_bucket or self.all_buckets[0]).direction
+
+    @property
+    def needs_review(self) -> bool:
+        return any(bucket.needs_review for bucket in self.all_buckets)
+
+    @property
+    def tool_label(self) -> Optional[str]:
+        """One-word label of the most prominent positive finding, e.g. "Grade A2 - Efficiency".
+
+        The word is the most frequent outcome tag among positive studies of the
+        supporting bucket (for B1, of its source buckets); frequency ties break
+        by LABEL_TIE_ORDER. C0 results and unlabelled buckets yield no label.
+        """
+        bucket = self.supporting_bucket
+        if bucket is None:
+            return None
+        studies = bucket.studies or tuple(s for source in bucket.sources for s in source.studies)
+        counts = Counter(
+            label
+            for record in studies
+            if record.direction is StudyDirection.POSITIVE
+            for label in record.labels
+        )
+        if not counts:
+            return None
+        word = max(counts, key=lambda lab: (counts[lab], -LABEL_TIE_ORDER.index(lab)))
+        return f"Grade {bucket.level.value} - {word.display}"
+
+    @property
+    def justification(self) -> str:
+        """The supporting bucket, every higher bucket that failed to qualify, and the policy."""
+        supporting = self.supporting_bucket
+        rank = _RANK[self.final_grade]
+        failed = ", ".join(
+            f"{b.level.value} {b.direction.value}" for b in self.all_buckets if _RANK[b.level] > rank
+        )
+        if supporting is None:
+            parts = [
+                "final grade C0: no level holds positive or mixed-positive evidence",
+                f"not qualifying: {failed}",
+            ]
+        else:
+            level = supporting.level
+            parts = [
+                f"final grade {level.value}: {supporting.direction.value} evidence at"
+                f" {level.value} ({level.descriptor.lower()})"
+            ]
+            if failed:
+                parts.append(f"higher levels not qualifying: {failed}")
+        parts.append(f"policy[{self.policy}]")
+        return "; ".join(parts)
 
 
 @dataclass(frozen=True)

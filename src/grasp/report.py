@@ -102,10 +102,6 @@ def _enum_list(values, enum_cls) -> str:
     return ", ".join(names) if names else ABSENT
 
 
-def _row(label: str, value: str) -> str:
-    return f"| {label} | {_escape_cell(value)} |"
-
-
 def _row_cells(*cells: str) -> str:
     return "| " + " | ".join(_escape_cell(cell) for cell in cells) + " |"
 
@@ -233,6 +229,7 @@ _MARKDOWN_LAYOUTS = {
 
 def _ladder_rows(result: GradeResult, ladder) -> list[str]:
     buckets = {bucket.level: bucket for bucket in result.all_buckets}
+    final = result.final_grade
     rows = [
         "| Phase of Evaluation | Level of Evidence | Grade | Evidence |",
         "| --- | --- | --- | --- |",
@@ -240,7 +237,7 @@ def _ladder_rows(result: GradeResult, ladder) -> list[str]:
     for levels, cells in ladder:
         bucket = next((buckets[level] for level in levels if level in buckets), None)
         evidence = DIRECTION_LEGEND[bucket.direction] if bucket else ABSENT
-        if result.final_grade in levels:
+        if final in levels:
             evidence += " <== final grade"
         rows.append(_row_cells(*cells, evidence))
     return rows
@@ -264,11 +261,11 @@ def _markdown_detailed(
     lines = [f"# {title}: {tool.name}", ""]
     lines += _stamp_lines(generated_at, result.policy)
     lines += ["", "| Field | Value |", "| --- | --- |"]
-    lines += [_row(label, cell(tool, indices)) for label, cell in fields]
+    lines += [_row_cells(label, cell(tool, indices)) for label, cell in fields]
     lines.append("")
     lines += _ladder_rows(result, ladder)
     lines += ["", "| Field | Value |", "| --- | --- |"]
-    lines += [_row(label, cell(result)) for label, cell in results]
+    lines += [_row_cells(label, cell(result)) for label, cell in results]
     return "\n".join(lines) + "\n"
 
 

@@ -18,11 +18,10 @@ import pytest
 from grasp.corpus import emit_corpus, parse_corpus
 from grasp.engine import (
     AppraisalPolicy,
+    StudyAppraisal,
     TieFallback,
     aggregate_bucket,
     assign_grade,
-    classify_evidence_class,
-    classify_strength,
     compute_indices,
 )
 from grasp.errors import AdjudicationRequired, CorpusError
@@ -141,9 +140,9 @@ def test_c4_protocol_truth_tables():
     }
     cells = 0
     for pair, expected in strength_expected.items():
-        cells += classify_strength(*pair) is expected
+        cells += StudyAppraisal(*pair).strength is expected
     for pair, expected in class_expected.items():
-        cells += classify_evidence_class(*pair) is expected
+        cells += StudyAppraisal(*pair).evidence_class is expected
     _report(4, f"strength and class tables match on all cells ({cells}/8)", cells == 8)
 
 

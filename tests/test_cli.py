@@ -339,6 +339,25 @@ class TestReportCommand:
         assert "Generated:" in stamped
 
 
+class TestReportFailures:
+    @pytest.mark.parametrize("flags, cause", [
+        # centor (1981) precedes the reference year and sorts first; chalice (2006) follows it.
+        (["--reference-year", "2000"], "tool year 2006"),
+        # taylor, the last tool, has one study without the quality override only the summary needs.
+        (["--summary"], "taylor-s1"),
+    ], ids=["reference-year", "summary"])
+    def test_a_failing_document_stops_every_write(self, capsys, tmp_path, flags, cause):
+        doc = json.loads((FIXTURES / "grasp8.json").read_text())
+        del next(s for s in doc["studies"] if s["id"] == "taylor-s1")["quality_override"]
+        corpus = tmp_path / "corpus.json"
+        corpus.write_text(json.dumps(doc))
+        out_dir = tmp_path / "out"
+        code, _, err = run(capsys, "report", str(corpus), *flags, "--out", str(out_dir))
+        assert code == 1
+        assert cause in err
+        assert not out_dir.exists() or list(out_dir.iterdir()) == []
+
+
 class TestReportContainment:
     @staticmethod
     def _corpus_with_ids(tmp_path, *tool_ids):

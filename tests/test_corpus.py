@@ -691,7 +691,8 @@ class TestSurveySheet:
             parse_survey_sheet(b"question_id,response\nq1,6\n")
 
     def test_non_integer(self):
-        # int() would read the Arabic-Indic digit three as 3.
-        for token in ("yes", "\u0663"):
+        # int() would read the Arabic-Indic digit three, a sign, a leading
+        # zero and an underscore, each as 3.
+        for token in ("yes", "\u0663", "+3", "03", "0_3"):
             with pytest.raises(OutOfRange):
                 parse_survey_sheet(f"question_id,response\nq1,{token}\n".encode())

@@ -9,19 +9,17 @@ from grasp.engine import (
     AppraisalPolicy,
     MatchingRule,
     QualityRule,
+    StudyAppraisal,
     TieFallback,
     aggregate_bucket,
     appraise_study,
     assign_grade,
     build_buckets,
-    classify_evidence_class,
-    classify_strength,
     compute_indices,
     derive_b1,
     mixed_protocol,
     resolve_matching,
     resolve_quality,
-    tool_label,
 )
 from grasp.errors import (
     AdjudicationRequired,
@@ -35,7 +33,6 @@ from grasp.model import (
     MATCHING_FIELD_KEYS,
     QUALITY_FIELD_KEYS,
     BucketDirection,
-    EvidenceBucket,
     EvidenceClass,
     GradeLevel,
     MatchingVerdict,
@@ -157,12 +154,12 @@ CLASS_CELLS = [
 
 @pytest.mark.parametrize("matching,quality,expected", STRENGTH_CELLS)
 def test_strength_table(matching, quality, expected):
-    assert classify_strength(matching, quality) is expected
+    assert StudyAppraisal(matching, quality).strength is expected
 
 
 @pytest.mark.parametrize("matching,quality,expected", CLASS_CELLS)
 def test_evidence_class_table(matching, quality, expected):
-    assert classify_evidence_class(matching, quality) is expected
+    assert StudyAppraisal(matching, quality).evidence_class is expected
 
 
 def test_strength_and_class_tables_agree():
@@ -170,7 +167,8 @@ def test_strength_and_class_tables_agree():
            StrengthVerdict.MEDIUM: EvidenceClass.B,
            StrengthVerdict.WEAK: EvidenceClass.C}
     for matching, quality in itertools.product(MatchingVerdict, QualityVerdict):
-        assert iso[classify_strength(matching, quality)] is classify_evidence_class(matching, quality)
+        appraisal = StudyAppraisal(matching, quality)
+        assert iso[appraisal.strength] is appraisal.evidence_class
 
 
 class TestAggregateBucket:
@@ -221,28 +219,27 @@ class TestMixedProtocol:
         return mixed_protocol(studies, TOOL, policy)
 
     def test_single_class_a_beats_many_class_c(self):
-        direction, review, _ = self.run(
+        direction, record = self.run(
             [(EvidenceClass.A, P)] + [(EvidenceClass.C, N)] * 3
         )
         assert direction is BucketDirection.MIXED_POSITIVE
-        assert not review
+        assert record.step is not None
 
     def test_majority_within_class_b(self):
-        direction, _, _ = self.run(
+        direction, _ = self.run(
             [(EvidenceClass.B, P), (EvidenceClass.B, P), (EvidenceClass.B, N)]
         )
         assert direction is BucketDirection.MIXED_POSITIVE
 
     def test_class_a_tie_widens_to_class_b(self):
-        direction, _, _ = self.run(
+        direction, _ = self.run(
             [(EvidenceClass.A, P), (EvidenceClass.A, N), (EvidenceClass.B, N)]
         )
         assert direction is BucketDirection.MIXED_NEGATIVE
 
     def test_full_tie_conservative_fallback(self):
-        direction, review, record = self.run([(EvidenceClass.A, P), (EvidenceClass.A, N)])
+        direction, record = self.run([(EvidenceClass.A, P), (EvidenceClass.A, N)])
         assert direction is BucketDirection.MIXED_NEGATIVE
-        assert review
         assert record.step is None
 
     def test_full_tie_failing_policy_raises(self):
@@ -261,8 +258,8 @@ class TestMixedProtocol:
             if P not in directions or directions == {P}:
                 continue
             expected = oracle_direction(combo)
-            direction, review, _ = self.run(combo)
-            assert (direction, review) == expected
+            direction, record = self.run(combo)
+            assert (direction, record.step is None) == expected
 
     def test_class_a_majority_ignores_lower_classes(self):
         # Exhaustive to 5 studies: whenever class A holds a strict majority
@@ -287,9 +284,9 @@ class TestMixedProtocol:
                         directions = {d for _, d in pairs}
                         if P not in directions or directions == {P}:
                             continue  # pure buckets never reach the protocol
-                        direction, review, _ = self.run(pairs)
+                        direction, record = self.run(pairs)
                         assert direction is expected
-                        assert not review
+                        assert record.step is not None
                         cases += 1
         assert cases == 573  # every mixed multiset of <=5 with a strict A-majority
 
@@ -332,14 +329,6 @@ class TestDeriveB1:
                 )
             else:
                 assert b1 is None
-
-    def test_review_flag_propagates(self):
-        flagged = EvidenceBucket(
-            level=GradeLevel.B2, studies=(),
-            direction=BucketDirection.MIXED_POSITIVE, needs_review=True,
-        )
-        b1 = derive_b1(flagged, _bucket(GradeLevel.B3, BucketDirection.POSITIVE))
-        assert b1 is not None and b1.needs_review
 
 
 class TestExternalValidationSplit:

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 from grasp.model import (
-    GRADE_SCAN_ORDER,
     LEVEL_BY_IMPACT_SUBTYPE,
     LEVELS_BY_STUDY_TYPE,
     MATCHING_FIELD_KEYS,
@@ -38,14 +37,6 @@ def test_rank_agrees_with_declared_order():
                 GradeLevel.A3, GradeLevel.A2, GradeLevel.A1]
     for earlier, later in zip(declared, declared[1:]):
         assert ordinal_rank(earlier) < ordinal_rank(later)
-
-
-def test_scan_order_is_descending_rank_without_c0():
-    assert list(GRADE_SCAN_ORDER) == sorted(
-        (level for level in GradeLevel if level is not GradeLevel.C0),
-        key=ordinal_rank,
-        reverse=True,
-    )
 
 
 def test_phase_letters():
