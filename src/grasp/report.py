@@ -103,7 +103,7 @@ def _enum_list(values, enum_cls) -> str:
 
 
 def _row_cells(*cells: str) -> str:
-    return "| " + " | ".join(_escape_cell(cell) for cell in cells) + " |"
+    return "| " + " | ".join(map(_escape_cell, cells)) + " |"
 
 
 def _legacy_grade(level: GradeLevel) -> str:
