@@ -77,7 +77,15 @@ def _add_strictness(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_policy_flags(parser: argparse.ArgumentParser) -> None:
+def _grading_parser() -> argparse.ArgumentParser:
+    """The arguments ``grade`` and ``report`` share, declared once."""
+    parser = argparse.ArgumentParser(add_help=False)
+    parser.add_argument("corpus", help="corpus JSON file")
+    parser.add_argument("--tool", help="only this tool id")
+    parser.add_argument("--layout", choices=sorted(_LAYOUTS), default="table4")
+    parser.add_argument("--reference-year", type=int,
+                        help="reference year for bibliometric indices (default: newest record year)")
+    _add_strictness(parser)
     parser.add_argument(
         "--matching-rule", choices=[m.value for m in MatchingRule],
         help="override the matching resolution rule",
@@ -90,13 +98,11 @@ def _add_policy_flags(parser: argparse.ArgumentParser) -> None:
         "--tie-fallback", choices=[m.value for m in TieFallback],
         help="override the full-tie fallback of the mixed evidence protocol",
     )
-
-
-def _add_stamp(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--stamp", action="store_true",
         help="include a generation timestamp (output is otherwise reproducible)",
     )
+    return parser
 
 
 def _resolve_policy(args: argparse.Namespace, embedded: Optional[PolicyOverrides]) -> AppraisalPolicy:
@@ -164,9 +170,8 @@ def _documents(
         if not args.summary:
             yield tool, report
             continue
-        records = [s for s in corpus.studies_for(tool.id) if s.is_gradable]
-        appraisals = {s.id: appraise_study(s, policy) for s in records}
-        summary = render_evidence_summary(records, appraisals, layout, generated_at=stamp)
+        rows = [(s, appraise_study(s, policy)) for s in corpus.studies_for(tool.id) if s.is_gradable]
+        summary = render_evidence_summary(rows, layout, generated_at=stamp)
         if layout is ReportFormat.STRUCTURED:
             yield tool, {"report": report, "evidence_summary": summary}
         else:
@@ -317,31 +322,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Grade clinical predictive tools from structured records of their published evidence.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    grading = [_grading_parser()]
 
-    grade = sub.add_parser("grade", help="grade every tool in a corpus")
-    grade.add_argument("corpus", help="corpus JSON file")
-    grade.add_argument("--tool", help="grade only this tool id")
+    grade = sub.add_parser("grade", parents=grading, help="grade every tool in a corpus")
     grade.add_argument("--format", choices=["text", "structured"], default="text")
     grade.add_argument("--report", metavar="DIR", help="also write detailed reports to DIR")
-    grade.add_argument("--layout", choices=sorted(_LAYOUTS), default="table4")
-    grade.add_argument("--reference-year", type=int,
-                       help="reference year for bibliometric indices (default: newest record year)")
-    _add_strictness(grade)
-    _add_policy_flags(grade)
-    _add_stamp(grade)
     grade.set_defaults(func=_cmd_grade, summary=False)
 
-    report = sub.add_parser("report", help="render detailed reports")
-    report.add_argument("corpus", help="corpus JSON file")
-    report.add_argument("--tool", help="report only this tool id")
+    report = sub.add_parser("report", parents=grading, help="render detailed reports")
     report.add_argument("--out", metavar="DIR", help="write reports to DIR instead of stdout")
-    report.add_argument("--layout", choices=sorted(_LAYOUTS), default="table4")
     report.add_argument("--summary", action="store_true", help="append the evidence summary")
-    report.add_argument("--reference-year", type=int,
-                        help="reference year for bibliometric indices (default: newest record year)")
-    _add_strictness(report)
-    _add_policy_flags(report)
-    _add_stamp(report)
     report.set_defaults(func=_cmd_report)
 
     raters = sub.add_parser("raters", help="compare two rater grade sheets")

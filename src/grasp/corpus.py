@@ -19,7 +19,7 @@ import io
 import json
 import sys
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from functools import cache, cached_property
 from operator import attrgetter
 from typing import AbstractSet, Any, Callable, ClassVar, Mapping, Optional, Sequence
@@ -108,12 +108,6 @@ class _Collector:
         self.errors: list[CorpusError] = []
         self.warnings: list[str] = []
 
-    def error(self, exc: CorpusError) -> None:
-        self.errors.append(exc)
-
-    def warn(self, message: str) -> None:
-        self.warnings.append(message)
-
 
 # --- typed accessors; every rejection names the offending field path ---
 
@@ -168,20 +162,24 @@ def _as_bool(value: Any, path: str) -> bool:
     return value
 
 
+def _finite(value: Any, path: str) -> Any:
+    # json.loads reads NaN and +-Infinity (1e400 too), which cannot be emitted as
+    # JSON; an integer beyond the float range overflows the indices' arithmetic.
+    if not abs(value) <= sys.float_info.max:
+        raise SchemaError(f"{path}: expected a finite number")
+    return value
+
+
 def _as_int(value: Any, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaError(f"{path}: expected an integer, got {_type_name(value)}")
-    return value
+    return _finite(value, path)
 
 
 def _as_number(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{path}: expected a number, got {_type_name(value)}")
-    # json.loads reads NaN and +-Infinity (1e400 too), which cannot be emitted
-    # as JSON; an integer beyond the float range cannot be stored at all.
-    if not abs(value) <= sys.float_info.max:
-        raise SchemaError(f"{path}: expected a finite number")
-    return float(value)
+    return float(_finite(value, path))
 
 
 def _require(obj: dict, key: str, path: str) -> Any:
@@ -200,9 +198,9 @@ def _check_unknown(obj: dict, allowed: AbstractSet[str], path: str, sink: _Colle
         return
     for key in sorted(obj.keys() - allowed):
         if sink.strict:
-            sink.error(SchemaError(f"{path}.{key}: unknown field"))
+            sink.errors.append(SchemaError(f"{path}.{key}: unknown field"))
         else:
-            sink.warn(f"{path}.{key}: unknown field ignored")
+            sink.warnings.append(f"{path}.{key}: unknown field ignored")
 
 
 # --- field codecs: a (decode, encode) pair per kind of JSON value ---
@@ -211,7 +209,7 @@ def _check_unknown(obj: dict, allowed: AbstractSet[str], path: str, sink: _Colle
 # CorpusError naming ``path``. ``encode(model_value)`` returns the JSON value,
 # or None to leave the key out; a None model value is never encoded.
 
-_Codec = tuple[Callable[[Any, str, Optional[_Collector]], Any], Callable[[Any], Any]]
+_Codec = tuple[Callable[[Any, str, _Collector], Any], Callable[[Any], Any]]
 
 
 def _same(value: Any) -> Any:
@@ -236,7 +234,7 @@ def _enum(enum_cls) -> _Codec:
     """Tokens decode case-insensitively, ignoring surrounding whitespace."""
     members = _enum_tokens(enum_cls)
 
-    def decode(value: Any, path: str, sink: Optional[_Collector]):
+    def decode(value: Any, path: str, sink: _Collector):
         token = _as_str(value, path).strip().lower()
         if token not in members:
             allowed = ", ".join(sorted(members))
@@ -244,11 +242,6 @@ def _enum(enum_cls) -> _Codec:
         return members[token]
 
     return decode, attrgetter("value")
-
-
-def _decode_enum(value: Any, enum_cls, path: str):
-    decode, _ = _enum(enum_cls)
-    return decode(value, path, None)
 
 
 def _enum_set(enum_cls, noun: Optional[str] = None) -> _Codec:
@@ -300,23 +293,24 @@ _POSITIVE = _at_least(_as_int, 1, "positive")
 class _Field:
     """One JSON key of a record and the model attribute it fills."""
 
-    def __init__(self, key: str, decode: Callable, encode: Callable,
-                 required: bool = True, attr: Optional[str] = None):
-        self.key, self.decode, self.encode = key, decode, encode
-        self.required, self.attr = required, attr or key
+    def __init__(self, key: str, decode: Callable, encode: Callable, attr: Optional[str] = None):
+        self.key, self.decode, self.encode, self.attr = key, decode, encode, attr or key
 
 
 class _Table:
-    """A record type's fields, with the lookups decoding needs built once."""
+    """A record type's fields, with the plan decoding walks built once.
 
-    def __init__(self, model: type, *fields: _Field):
+    A key is required exactly when the model gives its attribute no default.
+    """
+
+    def __init__(self, model: type, *table_fields: _Field):
+        required = {f.name for f in fields(model) if f.default is f.default_factory is MISSING}
         self.model = model
-        self.fields = fields
-        self.keys = frozenset(f.key for f in fields)
-        self.required = tuple(f.key for f in fields if f.required)
-        self.decoders = tuple((f.key, f.attr, f.decode) for f in fields)
-        self.encoders = tuple((f.key, f.encode) for f in fields)
-        self.values = attrgetter(*(f.attr for f in fields))
+        self.fields = table_fields
+        self.keys = frozenset(f.key for f in table_fields)
+        self.plan = tuple((f.key, f.attr, f.decode, f.attr in required) for f in table_fields)
+        self.encoders = tuple((f.key, f.encode) for f in table_fields)
+        self.values = attrgetter(*(f.attr for f in table_fields))
 
 
 _TOOL_TABLE = _Table(
@@ -338,8 +332,8 @@ _TOOL_TABLE = _Table(
     _Field("local_context", *_BOOL),
     _Field("methodology", *_STR),
     _Field("internal_validation_method", *_STR),
-    _Field("dedicated_support", *_STR, required=False),
-    _Field("endorsement", *_STR, required=False),
+    _Field("dedicated_support", *_STR),
+    _Field("endorsement", *_STR),
     _Field("automation", *_enum(Automation)),
     _Field("tool_citations", *_COUNT),
     _Field("studies_count", *_COUNT),
@@ -359,39 +353,39 @@ _STUDY_TABLE = _Table(
     _Field("phase", *_enum(Phase)),
     _Field("study_type", *_enum(StudyType)),
     _Field("comparative", *_BOOL),
-    _Field("level", *_enum(GradeLevel), required=False),
+    _Field("level", *_enum(GradeLevel)),
     _Field("direction", *_enum(StudyDirection)),
-    _Field("matching_fields", *_flags(MATCHING_FIELD_KEYS), required=False),
-    _Field("quality_fields", *_flags(QUALITY_FIELD_KEYS), required=False),
-    _Field("matching_override", *_enum(MatchingVerdict), required=False),
-    _Field("quality_override", *_enum(QualityVerdict), required=False),
-    _Field("impact_subtype", *_enum(ImpactSubtype), required=False),
-    _Field("label", *_enum_set(OutcomeLabel), required=False, attr="labels"),
-    _Field("sample_size", *_POSITIVE, required=False),
-    _Field("notes", *_STR, required=False),
+    _Field("matching_fields", *_flags(MATCHING_FIELD_KEYS)),
+    _Field("quality_fields", *_flags(QUALITY_FIELD_KEYS)),
+    _Field("matching_override", *_enum(MatchingVerdict)),
+    _Field("quality_override", *_enum(QualityVerdict)),
+    _Field("impact_subtype", *_enum(ImpactSubtype)),
+    _Field("label", *_enum_set(OutcomeLabel), attr="labels"),
+    _Field("sample_size", *_POSITIVE),
+    _Field("notes", *_STR),
 )
 
 _POLICY_TABLE = _Table(
     PolicyOverrides,
-    _Field("matching_rule", *_enum(MatchingRule), required=False),
-    _Field("quality_rule", *_enum(QualityRule), required=False),
-    _Field("tie_fallback", *_enum(TieFallback), required=False),
+    _Field("matching_rule", *_enum(MatchingRule)),
+    _Field("quality_rule", *_enum(QualityRule)),
+    _Field("tie_fallback", *_enum(TieFallback)),
 )
 
 
 def _decode_record(value: Any, path: str, table: _Table, sink: _Collector):
-    """Unknown keys go to the sink; a missing required key or the first bad
-    field, in canonical key order, raises. Absent optional keys take the
-    model's default."""
+    """Unknown keys go to the sink; the first missing or bad field, in
+    canonical key order, raises. Absent optional keys take the model's
+    default."""
     obj = _as_obj(value, path)
     _check_unknown(obj, table.keys, path, sink)
-    for key in table.required:
-        _require(obj, key, path)
-    return table.model(**{
-        attr: decode(obj[key], f"{path}.{key}", sink)
-        for key, attr, decode in table.decoders
-        if key in obj
-    })
+    values = {}
+    for key, attr, decode, required in table.plan:
+        if key in obj:
+            values[attr] = decode(obj[key], f"{path}.{key}", sink)
+        elif required:
+            raise SchemaError(f"{path}.{key}: required field is missing")
+    return table.model(**values)
 
 
 def _encode_record(table: _Table, record: Any) -> dict:
@@ -461,7 +455,7 @@ def _cross_checks(
     seen_tools: dict[str, str] = {}
     for path, tool in tools:
         if tool.id in seen_tools:
-            sink.error(SchemaError(
+            sink.errors.append(SchemaError(
                 f"{path}.id: duplicate tool id '{tool.id}' (also at {seen_tools[tool.id]})"
             ))
         seen_tools[tool.id] = path
@@ -470,12 +464,12 @@ def _cross_checks(
     by_tool: dict[str, list[tuple[str, StudyRecord]]] = {}
     for path, study in studies:
         if study.id in seen_studies:
-            sink.error(SchemaError(
+            sink.errors.append(SchemaError(
                 f"{path}.id: duplicate study id '{study.id}' (also at {seen_studies[study.id]})"
             ))
         seen_studies[study.id] = path
         if study.tool_id not in seen_tools and study.tool_id not in unparsed:
-            sink.error(DanglingReferenceError(
+            sink.errors.append(DanglingReferenceError(
                 f"{path}.tool_id: no tool with id '{study.tool_id}'"
             ))
         by_tool.setdefault(study.tool_id, []).append((path, study))
@@ -489,7 +483,7 @@ def _cross_checks(
             derived = external_validation_level(len({s.id for _, s in external}))
             for path, study in external:
                 if study.level is not derived:
-                    sink.error(ConsistencyError(
+                    sink.errors.append(ConsistencyError(
                         f"{path}.level: tool '{tool.id}' has {len(external)} external"
                         f" validation(s), so the level must be {derived.value},"
                         f" got {study.level.value if study.level else 'none'}"
@@ -500,9 +494,9 @@ def _cross_checks(
                 f" {len(attached)} study records reference '{tool.id}'"
             )
             if sink.strict:
-                sink.error(ConsistencyError(message))
+                sink.errors.append(ConsistencyError(message))
             else:
-                sink.warn(message)
+                sink.warnings.append(message)
 
 
 def load_corpus(
@@ -550,7 +544,7 @@ def load_corpus(
         try:
             tools.append((path, _decode_record(raw, path, _TOOL_TABLE, sink)))
         except CorpusError as exc:
-            sink.error(exc)
+            sink.errors.append(exc)
             if isinstance(raw, dict) and isinstance(raw.get("id"), str):
                 unparsed.add(raw["id"])
     studies: list[tuple[str, StudyRecord]] = []
@@ -562,7 +556,7 @@ def load_corpus(
             _study_consistency(study, path)
             studies.append((path, study))
         except CorpusError as exc:
-            sink.error(exc)
+            sink.errors.append(exc)
             if isinstance(raw, dict) and isinstance(raw.get("tool_id"), str):
                 incomplete.add(raw["tool_id"])
 
@@ -571,7 +565,7 @@ def load_corpus(
         try:
             policy = _decode_record(top["policy"], "$.policy", _POLICY_TABLE, sink)
         except CorpusError as exc:
-            sink.error(exc)
+            sink.errors.append(exc)
         if policy == PolicyOverrides():
             policy = None
 
@@ -638,6 +632,8 @@ def _csv_rows(data: bytes | str, expected_header: tuple[str, str], what: str) ->
         text = data.decode("utf-8") if isinstance(data, bytes) else data
     except UnicodeDecodeError as exc:
         raise CorpusSyntaxError(f"{what}: not valid UTF-8: {exc}") from exc
+    # Spreadsheet programs start a "CSV UTF-8" file with a byte-order mark.
+    text = text.removeprefix("\ufeff")
     try:
         parsed = list(csv.reader(io.StringIO(text)))
     except csv.Error as exc:

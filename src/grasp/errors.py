@@ -100,10 +100,6 @@ class UnknownTool(GraspError):
 # --- report generation ---
 
 
-class UnresolvedStrength(GraspError):
-    """A study reached the evidence summary without a resolved strength."""
-
-
 class FormatUnsupported(GraspError):
     """The requested report format is not implemented."""
 

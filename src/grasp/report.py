@@ -15,7 +15,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 from .corpus import study_to_obj, tool_to_obj
 from .engine import StudyAppraisal, ToolIndices
-from .errors import FormatUnsupported, UnresolvedStrength
+from .errors import FormatUnsupported
 from .model import (
     MATCHING_FIELD_KEYS,
     QUALITY_FIELD_KEYS,
@@ -372,34 +372,29 @@ SUMMARY_TABLE = (
 
 
 def render_evidence_summary(
-    records: Sequence[StudyRecord],
-    appraisals: Mapping[str, StudyAppraisal],
+    rows: Sequence[tuple[StudyRecord, StudyAppraisal]],
     format: ReportFormat = ReportFormat.MARKDOWN_TABLE4,
     *,
     generated_at: Optional[str] = None,
 ) -> Union[str, dict]:
-    """Render the per-study evidence summary, one row per record: markdown
-    text, or a JSON-ready dict for the structured format.
+    """Render the per-study evidence summary, one row per ``(study, appraisal)``
+    pair: markdown text, or a JSON-ready dict for the structured format.
 
-    ``appraisals`` maps study id to its resolved verdicts; a record without
-    one is an error. Rows are ordered by publication year, then id.
+    Rows are ordered by publication year, then study id.
     """
-    missing = [r.id for r in records if r.id not in appraisals]
-    if missing:
-        raise UnresolvedStrength(f"no resolved strength for studies: {', '.join(sorted(missing))}")
-    ordered = sorted(records, key=lambda r: (r.year, r.id))
+    ordered = sorted(rows, key=lambda row: (row[0].year, row[0].id))
 
     if format is ReportFormat.STRUCTURED:
         return {
             "studies": [
                 {
                     **study_to_obj(record),
-                    "matching": appraisals[record.id].matching.value,
-                    "quality": appraisals[record.id].quality.value,
-                    "strength": appraisals[record.id].strength.value,
-                    "evidence_class": appraisals[record.id].evidence_class.value,
+                    "matching": appraisal.matching.value,
+                    "quality": appraisal.quality.value,
+                    "strength": appraisal.strength.value,
+                    "evidence_class": appraisal.evidence_class.value,
                 }
-                for record in ordered
+                for record, appraisal in ordered
             ],
             "generated_at": generated_at,
         }
@@ -411,7 +406,6 @@ def render_evidence_summary(
         lines.append("")
     lines.append(_row_cells(*(column for column, _ in SUMMARY_TABLE)))
     lines.append(_row_cells(*(["---"] * len(SUMMARY_TABLE))))
-    for record in ordered:
-        appraisal = appraisals[record.id]
+    for record, appraisal in ordered:
         lines.append(_row_cells(*(cell(record, appraisal) for _, cell in SUMMARY_TABLE)))
     return "\n".join(lines) + "\n"

@@ -10,6 +10,7 @@ import pytest
 
 import grasp
 from grasp.cli import main
+from grasp.corpus import _STUDY_TABLE, _TOOL_TABLE
 from conftest import FIXTURES
 
 CORPUS = str(FIXTURES / "grasp8.json")
@@ -231,6 +232,13 @@ class TestSurvey:
         code, _, err = run(capsys, "survey", str(sheet))
         assert code == 1
         assert "1..5" in err
+
+    def test_byte_order_mark_is_skipped(self, capsys, tmp_path):
+        sheet = tmp_path / "s.csv"
+        sheet.write_bytes(b"\xef\xbb\xbf" + Path(SURVEY).read_bytes())
+        _, plain, _ = run(capsys, "survey", SURVEY)
+        code, out, err = run(capsys, "survey", str(sheet))
+        assert (code, out, err) == (0, plain, "")
 
     def test_structured_format(self, capsys):
         code, out, _ = run(capsys, "survey", SURVEY, "--format", "structured")
@@ -456,6 +464,65 @@ class TestNonFiniteNumbers:
         assert code == 1
         assert out == ""
         assert "SchemaError: $.tools[" in err and "].journal_rank" in err and "finite" in err
+
+
+    @pytest.mark.parametrize("field", ["tool_citations", "studies_count"])
+    def test_integer_beyond_the_double_range_is_rejected(self, capsys, tmp_path, field):
+        doc = json.loads((FIXTURES / "grasp8.json").read_text())
+        doc["tools"][7][field] = 10**400
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "validate", str(path), "--lenient")
+        assert (code, out) == (1, "")
+        assert f"SchemaError: $.tools[7].{field}: expected a finite number\n" in err
+        for argv in (["report", "--tool", "taylor"], ["grade", "--report", str(tmp_path / "out")]):
+            code, out, err = run(capsys, *argv, str(path), "--lenient")
+            assert (code, out) == (1, ""), err
+            assert err.startswith("error: $.tools[7]")
+
+
+#: Values put in place of a record field by the sweep below.
+EXTREMES = (0, -1, 10**300, 10**400, -10**400, 1e308, "", "a|b\nc", None, True, [], {})
+
+#: The sweep's commands after ``validate``; each takes the corpus path last.
+SWEEP_COMMANDS = (
+    ("grade", "--lenient", "--format", "structured"),
+    ("report", "--lenient", "--summary", "--layout", "structured"),
+)
+
+
+def test_extreme_field_values_never_break_the_cli(capsys, tmp_path):
+    """Each field of one tool and one study, present or optional, takes each
+    of the extreme values: every command rejects the corpus (exit 1) or
+    processes it (exit 0), and structured output then parses as JSON. A
+    corpus ``validate`` rejects is rejected by ``report`` too; ``grade``
+    loads it through the same function, so it is not run again."""
+    fixture = json.loads((FIXTURES / "grasp8.json").read_text())
+    # pecarn-s5 carries a level, an impact subtype, both flag maps, labels and notes.
+    targets = (
+        ("tools", 6, _TOOL_TABLE),
+        ("studies", next(i for i, s in enumerate(fixture["studies"]) if s["id"] == "pecarn-s5"),
+         _STUDY_TABLE),
+    )
+    path = tmp_path / "edited.json"
+    accepted = 0
+    for kind, index, table in targets:
+        for field in table.fields:
+            for value in EXTREMES:
+                doc = json.loads(json.dumps(fixture))
+                doc[kind][index][field.key] = value
+                path.write_text(json.dumps(doc))
+                where = f"{kind}[{index}].{field.key} = {value!r:.20}"
+                valid, _, err = run(capsys, "validate", "--lenient", str(path))
+                assert valid in (0, 1), f"validate with {where}: exit {valid}: {err}"
+                accepted += valid == 0
+                for command in SWEEP_COMMANDS if valid == 0 else SWEEP_COMMANDS[1:]:
+                    code, out, err = run(capsys, *command, str(path))
+                    assert code in ((0, 1) if valid == 0 else (1,)), \
+                        f"{command[0]} with {where}: exit {code}: {err}"
+                    if code == 0:
+                        json.loads(out)
+    assert 0 < accepted < len(EXTREMES) * (len(_TOOL_TABLE.fields) + len(_STUDY_TABLE.fields))
 
 
 class TestInternalErrors:

@@ -19,7 +19,7 @@ from grasp.corpus import (
     _STUDY_TABLE,
     _TOOL_TABLE,
     Corpus,
-    _decode_enum,
+    _enum,
     emit_corpus,
     load_corpus,
     parse_corpus,
@@ -237,6 +237,23 @@ class TestParse:
         with pytest.raises(SchemaError) as err:
             parse_corpus(json.dumps(doc).encode())
         assert ".year" in str(err.value)
+
+    @pytest.mark.parametrize("kind, edits, first", [
+        ("tools", {"id": 5, "year": None}, "$.tools[1].id: expected a string, got int"),
+        ("tools", {"id": None, "year": "x"}, "$.tools[1].id: required field is missing"),
+        ("studies", {"citation": 7, "direction": None},
+         "$.studies[1].citation: expected a string, got int"),
+    ], ids=["tool-bad-then-missing", "tool-missing-then-bad", "study-bad-then-missing"])
+    def test_first_fault_in_key_order_is_listed_first(self, corpus8_bytes, kind, edits, first):
+        # A missing field counts in canonical key order like a bad one.
+        doc = _doc(corpus8_bytes)
+        for key, value in edits.items():
+            if value is None:
+                del doc[kind][1][key]
+            else:
+                doc[kind][1][key] = value
+        _, errors, _ = load_corpus(json.dumps(doc))
+        assert str(errors[0]) == first
 
     def test_wrong_type_names_path(self, corpus8_bytes):
         doc = _doc(corpus8_bytes)
@@ -605,20 +622,21 @@ class TestFuzz:
 class TestEnumTokens:
     @pytest.mark.parametrize("enum_cls", DECODED_ENUMS, ids=lambda cls: cls.__name__)
     def test_every_member_decodes_from_each_spelling(self, enum_cls):
+        decode, _ = _enum(enum_cls)
         for member in enum_cls:
             for token in _spellings(member.value):
-                assert _decode_enum(token, enum_cls, "$.x") is member
+                assert decode(token, "$.x", None) is member
 
     def test_unknown_token_lists_lowercase_tokens(self):
         with pytest.raises(SchemaError) as err:
-            _decode_enum(" D1 ", GradeLevel, "$.x")
+            _enum(GradeLevel)[0](" D1 ", "$.x", None)
         assert str(err.value) == (
             "$.x: unknown token ' D1 '; expected one of: a1, a2, a3, b1, b2, b3, c0, c1, c2, c3"
         )
 
     def test_non_string_token(self):
         with pytest.raises(SchemaError, match=r"^\$\.x: expected a string, got int$"):
-            _decode_enum(1, GradeLevel, "$.x")
+            _enum(GradeLevel)[0](1, "$.x", None)
 
     def test_respelled_fixture_parses_and_emits_canonically(self, corpus8, corpus8_bytes):
         def respell(value):
@@ -677,6 +695,22 @@ class TestRaterSheet:
     def test_bad_header(self):
         with pytest.raises(SchemaError):
             parse_rater_sheet(b"tool,grade\nottawa,A1\n")
+
+
+@pytest.mark.parametrize("parse, sheet", [
+    (parse_survey_sheet, FIXTURES / "survey.csv"),
+    (parse_rater_sheet, FIXTURES / "raters" / "r1.csv"),
+], ids=["survey", "rater"])
+def test_sheet_with_a_byte_order_mark_parses_as_without(parse, sheet):
+    # Spreadsheet programs start a "CSV UTF-8" file with U+FEFF.
+    data = sheet.read_bytes()
+    assert parse(b"\xef\xbb\xbf" + data) == parse(data)
+    assert parse("\ufeff" + data.decode()) == parse(data)
+
+
+def test_corpus_with_a_byte_order_mark_is_rejected_by_name(corpus8_bytes):
+    _, errors, _ = load_corpus(b"\xef\xbb\xbf" + corpus8_bytes)
+    assert len(errors) == 1 and "BOM" in str(errors[0])
 
 
 class TestSurveySheet:

@@ -13,7 +13,7 @@ from grasp.engine import (
     assign_grade,
     compute_indices,
 )
-from grasp.errors import FormatUnsupported, UnresolvedStrength
+from grasp.errors import FormatUnsupported
 from grasp.model import GradeLevel
 from grasp.report import (
     DETAIL_FIELDS,
@@ -133,7 +133,7 @@ class TestDetailedReport:
         with pytest.raises(FormatUnsupported):
             render_detailed_report(tool, result, indices, "markdown_table4")
         with pytest.raises(FormatUnsupported):
-            render_evidence_summary([], {}, "markdown_table4")
+            render_evidence_summary([], "markdown_table4")
 
     def test_free_text_cells_cannot_break_the_table(self, corpus8):
         tool, _, result, indices = _graded(corpus8, "taylor")
@@ -192,8 +192,8 @@ class TestStructured:
 class TestEvidenceSummary:
     def _summary(self, corpus8, tool_id, fmt=ReportFormat.MARKDOWN_TABLE4):
         records = [s for s in corpus8.studies_for(tool_id) if s.is_gradable]
-        appraisals = {s.id: appraise_study(s, POLICY) for s in records}
-        return records, render_evidence_summary(records, appraisals, fmt)
+        rows = [(s, appraise_study(s, POLICY)) for s in records]
+        return records, render_evidence_summary(rows, fmt)
 
     def test_one_row_per_study(self, corpus8):
         records, report = self._summary(corpus8, "pecarn")
@@ -228,26 +228,18 @@ class TestEvidenceSummary:
 
     def test_strong_evidence_cell(self):
         record = make_study("s001", GradeLevel.C3, P)
-        appraisals = {"s001": appraise_study(record, POLICY)}
-        report = render_evidence_summary([record], appraisals)
+        report = render_evidence_summary([(record, appraise_study(record, POLICY))])
         assert "Strong Evidence" in report
 
     def test_empty_record_list_gives_header_only(self):
-        report = render_evidence_summary([], {})
+        report = render_evidence_summary([])
         rows = [line for line in report.splitlines() if line.startswith("| ")]
         assert len(rows) == 2
 
-    def test_unresolved_strength_rejected(self, corpus8):
-        tool = corpus8.tool("taylor")
-        records = list(corpus8.studies_for("taylor"))
-        with pytest.raises(UnresolvedStrength) as err:
-            render_evidence_summary(records, {})
-        assert "taylor-s1" in str(err.value)
-
     def test_structured_mirrors_corpus_conventions(self, corpus8):
         records = list(corpus8.studies_for("taylor"))
-        appraisals = {s.id: appraise_study(s, POLICY) for s in records}
-        report = render_evidence_summary(records, appraisals, ReportFormat.STRUCTURED)
+        rows = [(s, appraise_study(s, POLICY)) for s in records]
+        report = render_evidence_summary(rows, ReportFormat.STRUCTURED)
         entry = report["studies"][0]
         assert entry["id"] == "taylor-s1"
         assert entry["strength"] == "strong"
