@@ -18,7 +18,6 @@ from .corpus import (
 from .engine import (
     AppraisalPolicy,
     MatchingRule,
-    PolicyOverrides,
     QualityRule,
     StudyAppraisal,
     TieFallback,
@@ -85,7 +84,6 @@ __all__ = [
     "MatchingRule",
     "MatchingVerdict",
     "Phase",
-    "PolicyOverrides",
     "QualityRule",
     "QualityVerdict",
     "RaterComparison",

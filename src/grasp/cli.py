@@ -14,8 +14,10 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 from enum import IntEnum
+from functools import cache
 from pathlib import Path
 from typing import Iterator, Optional, Sequence, Union
 
@@ -24,7 +26,6 @@ from . import stats
 from .engine import (
     AppraisalPolicy,
     MatchingRule,
-    PolicyOverrides,
     QualityRule,
     TieFallback,
     appraise_study,
@@ -48,6 +49,13 @@ _LAYOUTS = {
     "table3": ReportFormat.MARKDOWN_TABLE3_LEGACY,
     "structured": ReportFormat.STRUCTURED,
 }
+
+#: The policy flags of ``grade`` and ``report``: (AppraisalPolicy field, rule enum, help).
+_POLICY_FLAGS = (
+    ("matching_rule", MatchingRule, "override the matching resolution rule"),
+    ("quality_rule", QualityRule, "override the quality resolution rule"),
+    ("tie_fallback", TieFallback, "override the full-tie fallback of the mixed evidence protocol"),
+)
 
 _DIRECTION_TOKENS = {
     "positive": "Positive",
@@ -86,36 +94,14 @@ def _grading_parser() -> argparse.ArgumentParser:
     parser.add_argument("--reference-year", type=int,
                         help="reference year for bibliometric indices (default: newest record year)")
     _add_strictness(parser)
-    parser.add_argument(
-        "--matching-rule", choices=[m.value for m in MatchingRule],
-        help="override the matching resolution rule",
-    )
-    parser.add_argument(
-        "--quality-rule", choices=[m.value for m in QualityRule],
-        help="override the quality resolution rule",
-    )
-    parser.add_argument(
-        "--tie-fallback", choices=[m.value for m in TieFallback],
-        help="override the full-tie fallback of the mixed evidence protocol",
-    )
+    for field, rule, text in _POLICY_FLAGS:
+        flag = "--" + field.replace("_", "-")
+        parser.add_argument(flag, choices=[m.value for m in rule], help=text)
     parser.add_argument(
         "--stamp", action="store_true",
         help="include a generation timestamp (output is otherwise reproducible)",
     )
     return parser
-
-
-def _resolve_policy(args: argparse.Namespace, embedded: Optional[PolicyOverrides]) -> AppraisalPolicy:
-    # Precedence: flag > corpus-embedded > default.
-    policy = AppraisalPolicy()
-    if embedded is not None:
-        policy = embedded.apply(policy)
-    flags = PolicyOverrides(
-        matching_rule=MatchingRule(args.matching_rule) if args.matching_rule else None,
-        quality_rule=QualityRule(args.quality_rule) if args.quality_rule else None,
-        tie_fallback=TieFallback(args.tie_fallback) if args.tie_fallback else None,
-    )
-    return flags.apply(policy)
 
 
 def _load_corpus(args: argparse.Namespace) -> corpus_io.Corpus:
@@ -129,7 +115,9 @@ def _grade_selected(
 ) -> tuple[corpus_io.Corpus, AppraisalPolicy, list[tuple[ToolProfile, GradeResult]]]:
     """Load the corpus and grade every tool, or only ``--tool``."""
     corpus = _load_corpus(args)
-    policy = _resolve_policy(args, corpus.policy)
+    # Precedence: flag > corpus-embedded > default.
+    flags = {f: rule(getattr(args, f)) for f, rule, _ in _POLICY_FLAGS if getattr(args, f)}
+    policy = replace(corpus.policy, **flags)
     tools = corpus.tools if args.tool is None else (corpus.tool(args.tool),)
     graded = [(tool, assign_grade(tool, corpus.studies_for(tool.id), policy)) for tool in tools]
     return corpus, policy, graded
@@ -191,7 +179,7 @@ def _write_reports(
     # Every target is checked and every document built before anything is written.
     for tool, _ in graded:
         name = f"{tool.id}{suffix}"
-        if Path(name).name != name or "\0" in name:
+        if Path(name).name != name:
             raise UnsafeReportPath(
                 f"tool id {tool.id!r} is not a plain file name; no report written to {directory}"
             )
@@ -316,6 +304,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return ExitStatus.OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="grasp",

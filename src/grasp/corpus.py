@@ -24,7 +24,7 @@ from functools import cache, cached_property
 from operator import attrgetter
 from typing import AbstractSet, Any, Callable, ClassVar, Mapping, Optional, Sequence
 
-from .engine import MatchingRule, PolicyOverrides, QualityRule, TieFallback
+from .engine import AppraisalPolicy, MatchingRule, QualityRule, TieFallback
 from .errors import (
     ConsistencyError,
     CorpusError,
@@ -71,7 +71,7 @@ class Corpus:
 
     tools: tuple[ToolProfile, ...]
     studies: tuple[StudyRecord, ...]
-    policy: Optional[PolicyOverrides] = None
+    policy: AppraisalPolicy = AppraisalPolicy()
     schema_version: ClassVar[str] = SCHEMA_VERSION  # the one version the decoder reads
 
     @cached_property
@@ -153,6 +153,14 @@ def _as_str(value: Any, path: str) -> str:
             value.encode("utf-8")
         except UnicodeEncodeError:
             raise SchemaError(f"{path}: string holds a lone UTF-16 surrogate") from None
+    return value
+
+
+def _as_tool_id(value: Any, path: str) -> str:
+    # A tool id is printed one per line by ``grade`` and names a report file.
+    value = _as_str(value, path)
+    if not value.isprintable():
+        raise SchemaError(f"{path}: tool id {value!r} holds a non-printable character")
     return value
 
 
@@ -315,7 +323,7 @@ class _Table:
 
 _TOOL_TABLE = _Table(
     ToolProfile,
-    _Field("id", *_STR),
+    _Field("id", *_scalar(_as_tool_id)),
     _Field("name", *_STR),
     _Field("author", *_STR),
     _Field("country", *_STR),
@@ -366,7 +374,7 @@ _STUDY_TABLE = _Table(
 )
 
 _POLICY_TABLE = _Table(
-    PolicyOverrides,
+    AppraisalPolicy,
     _Field("matching_rule", *_enum(MatchingRule)),
     _Field("quality_rule", *_enum(QualityRule)),
     _Field("tie_fallback", *_enum(TieFallback)),
@@ -560,14 +568,12 @@ def load_corpus(
             if isinstance(raw, dict) and isinstance(raw.get("tool_id"), str):
                 incomplete.add(raw["tool_id"])
 
-    policy = None
+    policy = AppraisalPolicy()
     if "policy" in top:
         try:
             policy = _decode_record(top["policy"], "$.policy", _POLICY_TABLE, sink)
         except CorpusError as exc:
             sink.errors.append(exc)
-        if policy == PolicyOverrides():
-            policy = None
 
     _cross_checks(tools, studies, unparsed, incomplete, sink)
     if sink.errors:
@@ -618,8 +624,8 @@ def emit_corpus(corpus: Corpus) -> bytes:
         "tools": [tool_to_obj(t) for t in sorted(corpus.tools, key=lambda t: t.id)],
         "studies": [study_to_obj(s) for s in sorted(corpus.studies, key=lambda s: s.id)],
     }
-    if corpus.policy is not None and (policy := _encode_record(_POLICY_TABLE, corpus.policy)):
-        document["policy"] = policy
+    if corpus.policy != AppraisalPolicy():
+        document["policy"] = _encode_record(_POLICY_TABLE, corpus.policy)
     text = json.dumps(document, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
     return text.encode("utf-8")
 

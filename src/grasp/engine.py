@@ -88,22 +88,6 @@ class AppraisalPolicy:
         )
 
 
-@dataclass(frozen=True)
-class PolicyOverrides:
-    """Partial policy, e.g. embedded in a corpus or given as CLI flags."""
-
-    matching_rule: Optional[MatchingRule] = None
-    quality_rule: Optional[QualityRule] = None
-    tie_fallback: Optional[TieFallback] = None
-
-    def apply(self, base: AppraisalPolicy) -> AppraisalPolicy:
-        return AppraisalPolicy(
-            matching_rule=self.matching_rule or base.matching_rule,
-            quality_rule=self.quality_rule or base.quality_rule,
-            tie_fallback=self.tie_fallback or base.tie_fallback,
-        )
-
-
 def resolve_matching(record: StudyRecord, policy: AppraisalPolicy) -> MatchingVerdict:
     """Decide whether the study conditions match the tool's specification.
 
@@ -310,7 +294,7 @@ def build_buckets(
 def assign_grade(
     tool: ToolProfile,
     studies: Sequence[StudyRecord],
-    policy: Optional[AppraisalPolicy] = None,
+    policy: AppraisalPolicy = AppraisalPolicy(),
 ) -> GradeResult:
     """Grade a tool from its study records.
 
@@ -318,7 +302,6 @@ def assign_grade(
     fingerprint; its final grade is the highest level whose bucket direction
     is positive or mixed-positive, C0 when no bucket qualifies.
     """
-    policy = policy or AppraisalPolicy()
     foreign = [s.id for s in studies if s.tool_id != tool.id]
     if foreign:
         raise ValueError(f"studies {foreign} do not belong to tool '{tool.id}'")

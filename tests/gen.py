@@ -7,7 +7,7 @@ from dataclasses import replace
 from typing import Optional
 
 from grasp.corpus import Corpus
-from grasp.engine import MatchingRule, PolicyOverrides, QualityRule, TieFallback
+from grasp.engine import AppraisalPolicy, MatchingRule, QualityRule, TieFallback
 from grasp.model import (
     MATCHING_FIELD_KEYS,
     QUALITY_FIELD_KEYS,
@@ -179,15 +179,14 @@ def random_tool_studies(
     return studies, counter
 
 
-def random_policy(rng: random.Random) -> Optional[PolicyOverrides]:
+def random_policy(rng: random.Random) -> AppraisalPolicy:
+    # The golden grade digests depend on this order of draws: per field, a coin, then a value.
     if rng.random() < 0.7:
-        return None
-    overrides = PolicyOverrides(
-        matching_rule=rng.choice(list(MatchingRule)) if rng.random() < 0.5 else None,
-        quality_rule=rng.choice(list(QualityRule)) if rng.random() < 0.5 else None,
-        tie_fallback=rng.choice(list(TieFallback)) if rng.random() < 0.5 else None,
-    )
-    return None if overrides == PolicyOverrides() else overrides
+        return AppraisalPolicy()
+    rules = {"matching_rule": MatchingRule, "quality_rule": QualityRule, "tie_fallback": TieFallback}
+    return AppraisalPolicy(**{
+        field: rng.choice(list(rule)) for field, rule in rules.items() if rng.random() < 0.5
+    })
 
 
 def random_corpus(rng: random.Random, max_tools: int = 3) -> Corpus:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import grasp
-from grasp.cli import main
+from grasp.cli import build_parser, main
 from grasp.corpus import _STUDY_TABLE, _TOOL_TABLE
 from conftest import FIXTURES
 
@@ -278,6 +279,25 @@ class TestValidate:
         assert "ghost" in err and ".year" in err
         assert "$.tools[1].name: duplicate field" in err
 
+    @pytest.mark.parametrize("char", ["\n", "\t", "\x00", "\u2028"])
+    def test_tool_id_with_a_non_printable_character_is_rejected(self, capsys, tmp_path, char):
+        # grade prints one line per tool, so an id must not break or hide a line.
+        tool_id = f"a|b{char}c"
+        doc = json.loads((FIXTURES / "grasp8.json").read_text())
+        doc["tools"][7]["id"] = tool_id
+        for study in doc["studies"]:
+            if study["tool_id"] == "taylor":
+                study["tool_id"] = tool_id
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "validate", str(path))
+        assert (code, out) == (1, "")
+        assert err == (
+            f"SchemaError: $.tools[7].id: tool id {tool_id!r} holds a non-printable character\n"
+        )
+        code, out, _ = run(capsys, "grade", str(path))
+        assert (code, out) == (1, "")
+
     def test_lenient_unknown_field_warns_but_passes(self, capsys, tmp_path):
         doc = json.loads((FIXTURES / "grasp8.json").read_text())
         doc["tools"][0]["extra_field"] = "x"
@@ -523,6 +543,41 @@ def test_extreme_field_values_never_break_the_cli(capsys, tmp_path):
                     if code == 0:
                         json.loads(out)
     assert 0 < accepted < len(EXTREMES) * (len(_TOOL_TABLE.fields) + len(_STUDY_TABLE.fields))
+
+
+def _mutations(data: bytes, count: int):
+    """``count`` seeded copies of ``data``, each with 1-4 bytes overwritten at random."""
+    rng = random.Random(0)
+    for _ in range(count):
+        mutated = bytearray(data)
+        for _ in range(rng.randint(1, 4)):
+            mutated[rng.randrange(len(mutated))] = rng.randrange(256)
+        yield bytes(mutated)
+
+
+@pytest.mark.parametrize("sheet, command", [
+    (R1, ("raters", "{path}", "{path}")),
+    (SURVEY, ("survey", "{path}")),
+], ids=["raters", "survey"])
+def test_mutated_sheets_never_break_the_cli(capsys, tmp_path, sheet, command):
+    """A sheet with a few bytes overwritten is rejected (exit 1) or processed
+    (exit 0, and the structured output parses as JSON); a rater sheet is
+    compared with itself."""
+    path = tmp_path / "mutated.csv"
+    codes = []
+    for mutated in _mutations(Path(sheet).read_bytes(), 300):
+        path.write_bytes(mutated)
+        argv = [arg.format(path=path) for arg in command]
+        code, out, err = run(capsys, *argv, "--format", "structured")
+        assert code in (0, 1), f"{mutated!r}: exit {code}: {err}"
+        if code == 0:
+            json.loads(out)
+        codes.append(code)
+    assert set(codes) == {0, 1}
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
 
 
 class TestInternalErrors:

@@ -26,7 +26,7 @@ from grasp.corpus import (
     parse_rater_sheet,
     parse_survey_sheet,
 )
-from grasp.engine import MatchingRule, PolicyOverrides, QualityRule, TieFallback
+from grasp.engine import AppraisalPolicy, MatchingRule, QualityRule, TieFallback
 from grasp.errors import (
     ConsistencyError,
     CorpusError,
@@ -398,9 +398,9 @@ class TestParse:
         doc = _doc(corpus8_bytes)
         doc["policy"] = {"matching_rule": "ignore_missing"}
         corpus = parse_corpus(json.dumps(doc).encode())
-        assert corpus.policy == PolicyOverrides(matching_rule=MatchingRule.IGNORE_MISSING)
+        assert corpus.policy == AppraisalPolicy(matching_rule=MatchingRule.IGNORE_MISSING)
         doc["policy"] = {}
-        assert parse_corpus(json.dumps(doc).encode()).policy is None
+        assert parse_corpus(json.dumps(doc).encode()).policy == AppraisalPolicy()
         doc["policy"] = {"verbosity": "high"}
         with pytest.raises(SchemaError):
             parse_corpus(json.dumps(doc).encode())
@@ -510,7 +510,7 @@ class TestFieldOrder:
 
 
 @pytest.mark.parametrize("table, model", [
-    (_TOOL_TABLE, ToolProfile), (_STUDY_TABLE, StudyRecord), (_POLICY_TABLE, PolicyOverrides),
+    (_TOOL_TABLE, ToolProfile), (_STUDY_TABLE, StudyRecord), (_POLICY_TABLE, AppraisalPolicy),
 ])
 def test_field_table_covers_the_model(table, model):
     # A model field without a table entry would never be read or written.
@@ -548,6 +548,24 @@ class TestEmit:
         tool = replace(corpus8.tools[0], journal_rank=float("nan"))
         with pytest.raises(ValueError):
             emit_corpus(Corpus(tools=(tool,), studies=()))
+
+    def test_policy_block_has_one_canonical_form(self):
+        def parse(block):
+            return parse_corpus(json.dumps(dict(json.loads(EMPTY), policy=block)).encode())
+
+        corpus = parse({"tie_fallback": "fail_with_review_flag"})
+        assert corpus.policy == AppraisalPolicy(tie_fallback=TieFallback.FAIL_WITH_REVIEW_FLAG)
+        emitted = emit_corpus(corpus)
+        assert _doc(emitted)["policy"] == {
+            "matching_rule": "strict_all",
+            "quality_rule": "override_only",
+            "tie_fallback": "fail_with_review_flag",
+        }
+        assert emit_corpus(parse_corpus(emitted)) == emitted
+        for block in ({}, {"matching_rule": "strict_all"}):
+            emitted = emit_corpus(parse(block))
+            assert "policy" not in _doc(emitted)
+            assert emit_corpus(parse_corpus(emitted)) == emitted
 
     def test_two_space_indent_and_trailing_newline(self, corpus8_bytes):
         text = corpus8_bytes.decode()
@@ -660,7 +678,7 @@ class TestEnumTokens:
             "quality_rule": "MAJORITY_OF_FLAGS",
             "tie_fallback": "fail_with_review_flag\n",
         }
-        assert parse_corpus(json.dumps(doc).encode()).policy == PolicyOverrides(
+        assert parse_corpus(json.dumps(doc).encode()).policy == AppraisalPolicy(
             matching_rule=MatchingRule.IGNORE_MISSING,
             quality_rule=QualityRule.MAJORITY_OF_FLAGS,
             tie_fallback=TieFallback.FAIL_WITH_REVIEW_FLAG,

@@ -25,7 +25,7 @@ import pytest
 from conftest import FIXTURES
 from gen import random_corpus
 from grasp.cli import main
-from grasp.engine import AppraisalPolicy, PolicyOverrides, assign_grade
+from grasp.engine import assign_grade
 from grasp.errors import GraspError
 
 DIGESTS = Path(__file__).resolve().parent / "golden_digests.json"
@@ -263,11 +263,10 @@ def _project(result) -> dict:
 def grade_outcomes(seed: int) -> list[dict]:
     rng = random.Random(seed)
     corpus = _strip_overrides(rng, random_corpus(rng))
-    policy = (corpus.policy or PolicyOverrides()).apply(AppraisalPolicy())
     outcomes = []
     for tool in corpus.tools:
         try:
-            outcomes.append(_project(assign_grade(tool, corpus.studies_for(tool.id), policy)))
+            outcomes.append(_project(assign_grade(tool, corpus.studies_for(tool.id), corpus.policy)))
         except GraspError as exc:
             outcomes.append({"tool_id": tool.id, "error": type(exc).__name__, "message": str(exc)})
     return outcomes
