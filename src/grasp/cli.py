@@ -15,14 +15,12 @@ import json
 import os
 import sys
 from dataclasses import replace
-from datetime import datetime, timezone
 from enum import IntEnum
 from functools import cache
 from pathlib import Path
 from typing import Iterator, Optional, Sequence, Union
 
 from . import corpus as corpus_io
-from . import stats
 from .engine import (
     AppraisalPolicy,
     MatchingRule,
@@ -151,7 +149,10 @@ def _documents(
 ) -> Iterator[tuple[ToolProfile, Union[str, dict]]]:
     """Yield each graded tool's document: its detailed report and, with
     ``--summary``, the evidence summary of its gradable studies."""
-    stamp = datetime.now(timezone.utc).isoformat(timespec="seconds") if args.stamp else None
+    stamp = None
+    if args.stamp:
+        from datetime import datetime, timezone
+        stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
     for tool, result in graded:
         indices = compute_indices(tool, _reference_year(args, corpus, tool))
         report = render_detailed_report(tool, result, indices, layout, generated_at=stamp)
@@ -239,6 +240,7 @@ def _format_p(p_value: float) -> str:
 
 
 def _cmd_raters(args: argparse.Namespace) -> int:
+    from . import stats  # imported here, so that grade, report and validate never load it
     name_a, name_b = Path(args.sheet_a).stem, Path(args.sheet_b).stem
     grades_a = corpus_io.parse_rater_sheet(_read(args.sheet_a))
     grades_b = corpus_io.parse_rater_sheet(_read(args.sheet_b))
@@ -273,6 +275,7 @@ def _cmd_raters(args: argparse.Namespace) -> int:
 
 
 def _cmd_survey(args: argparse.Namespace) -> int:
+    from . import stats
     responses = corpus_io.parse_survey_sheet(_read(args.responses))
     summaries = stats.summarize_survey(responses) + [stats.overall_summary(responses)]
     if args.format == "structured":

@@ -159,6 +159,8 @@ def _as_str(value: Any, path: str) -> str:
 def _as_tool_id(value: Any, path: str) -> str:
     # A tool id is printed one per line by ``grade`` and names a report file.
     value = _as_str(value, path)
+    if not value:
+        raise SchemaError(f"{path}: tool id must not be empty")
     if not value.isprintable():
         raise SchemaError(f"{path}: tool id {value!r} holds a non-printable character")
     return value

@@ -173,22 +173,15 @@ DETAIL_RESULTS = (
 )
 
 # Legacy layout: no bibliometrics, merged author/year row, old B levels.
+_DETAIL_CELLS = dict(DETAIL_FIELDS)
 LEGACY_FIELDS = (
-    ("Name", lambda tool, _: tool.name),
+    ("Name", _DETAIL_CELLS["Name"]),
     ("Authors/Year", lambda tool, _: f"{tool.author}, {tool.country}, {tool.year}"),
-    ("Intended Use", lambda tool, _: tool.intended_use),
-    ("Intended User", lambda tool, _: tool.intended_user),
-    ("Category", lambda tool, _: tool.category.value.capitalize()),
-    ("Clinical Area", lambda tool, _: tool.clinical_area),
-    ("Target Population", lambda tool, _: tool.target_population),
-    ("Target Outcome", lambda tool, _: tool.target_outcome),
-    ("Action", lambda tool, _: tool.action),
-    ("Input Source", lambda tool, _: _enum_list(tool.input_source, InputSource)),
-    ("Input Type", lambda tool, _: _enum_list(tool.input_type, InputType)),
-    ("Local Context", lambda tool, _: _yesno(tool.local_context)),
-    ("Methodology", lambda tool, _: tool.methodology),
-    ("Endorsement", lambda tool, _: _opt(tool.endorsement)),
-    ("Automation Flag", lambda tool, _: tool.automation.value.capitalize()),
+    *((label, _DETAIL_CELLS[label]) for label in (
+        "Intended Use", "Intended User", "Category", "Clinical Area", "Target Population",
+        "Target Outcome", "Action", "Input Source", "Input Type", "Local Context",
+        "Methodology", "Endorsement", "Automation Flag",
+    )),
 )
 
 # The legacy ladder has usability at B1 and no joint level: its B1 row carries
@@ -208,12 +201,13 @@ LEGACY_LADDER = tuple(
     )
 )
 
+_RESULT_CELLS = dict(DETAIL_RESULTS)
 LEGACY_RESULTS = (
     ("Final Grade", lambda result: f"**{_legacy_grade(result.final_grade)}**"),
-    ("Direction of Evidence", lambda result: DIRECTION_LEGEND[result.direction]),
-    ("Justification", lambda result: result.justification),
-    ("References", _studies_on_record),
-    ("Label/Colour Code", lambda result: FINDINGS_CODES),
+    ("Direction of Evidence", _RESULT_CELLS["Direction of Evidence"]),
+    ("Justification", _RESULT_CELLS["Justification"]),
+    ("References", _RESULT_CELLS["Evidence Summary"]),
+    ("Label/Colour Code", _RESULT_CELLS["Findings Codes"]),
 )
 
 #: Title and row tables of each markdown layout of the detailed report.

@@ -279,10 +279,17 @@ class TestValidate:
         assert "ghost" in err and ".year" in err
         assert "$.tools[1].name: duplicate field" in err
 
-    @pytest.mark.parametrize("char", ["\n", "\t", "\x00", "\u2028"])
-    def test_tool_id_with_a_non_printable_character_is_rejected(self, capsys, tmp_path, char):
-        # grade prints one line per tool, so an id must not break or hide a line.
-        tool_id = f"a|b{char}c"
+    @pytest.mark.parametrize("tool_id, message", [
+        ("a|b\nc", r"tool id 'a|b\nc' holds a non-printable character"),
+        ("a|b\tc", r"tool id 'a|b\tc' holds a non-printable character"),
+        ("a|b\x00c", r"tool id 'a|b\x00c' holds a non-printable character"),
+        ("a|b\u2028c", r"tool id 'a|b\u2028c' holds a non-printable character"),
+        ("", "tool id must not be empty"),
+    ], ids=["\n", "\t", "\x00", "\u2028", "empty"])
+    def test_tool_id_with_a_non_printable_character_is_rejected(
+        self, capsys, tmp_path, tool_id, message
+    ):
+        # grade prints one line per tool, so an id must not break, hide or blank a line.
         doc = json.loads((FIXTURES / "grasp8.json").read_text())
         doc["tools"][7]["id"] = tool_id
         for study in doc["studies"]:
@@ -292,9 +299,7 @@ class TestValidate:
         path.write_text(json.dumps(doc))
         code, out, err = run(capsys, "validate", str(path))
         assert (code, out) == (1, "")
-        assert err == (
-            f"SchemaError: $.tools[7].id: tool id {tool_id!r} holds a non-printable character\n"
-        )
+        assert err == f"SchemaError: $.tools[7].id: {message}\n"
         code, out, _ = run(capsys, "grade", str(path))
         assert (code, out) == (1, "")
 

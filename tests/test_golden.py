@@ -15,10 +15,12 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -75,6 +77,9 @@ def _cli_cases() -> list[str]:
         cases.append(f"grade {{broken}} {strictness}")
         for name in _MUTANTS:
             cases.append(f"validate {{mutant:{name}}} {strictness}")
+    cases.append("--help")
+    cases += [f"{command} --help" for command in ("grade", "report", "raters", "survey", "validate")]
+    cases.append("grade")
     return cases
 
 
@@ -201,8 +206,13 @@ def run_cli(template: str, tmp: Path) -> dict:
             token = "{mutant}"
         argv.append(str(paths.get(token, token)))
     stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = main(argv)
+    # argparse wraps its help and usage text to the terminal width, read from COLUMNS.
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+            mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
     files = {
         path.relative_to(tmp).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(tmp.rglob("*"))

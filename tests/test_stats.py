@@ -153,9 +153,16 @@ class TestPermutationP:
 
 
 def test_cli_import_leaves_numpy_unloaded():
+    # grade, report and validate never need the statistics, nor a clock unless --stamp.
     env = dict(os.environ, PYTHONPATH=str(Path(grasp.__file__).resolve().parents[1]))
-    code = "import grasp.cli, sys; sys.exit('numpy' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    code = (
+        "import sys, grasp\n"
+        "print(sorted(m for m in sys.modules if m.startswith('grasp.')))\n"
+        "import grasp.cli\n"
+        "print([m for m in ('numpy', 'grasp.stats', 'datetime') if m in sys.modules])\n"
+    )
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stdout) == (0, "[]\n[]\n"), run.stderr
 
 
 REFERENCE_GRADES = {
