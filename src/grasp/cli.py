@@ -14,22 +14,14 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from enum import IntEnum
 from functools import cache
 from pathlib import Path
 from typing import Iterator, Optional, Sequence, Union
 
 from . import corpus as corpus_io
-from .engine import (
-    AppraisalPolicy,
-    MatchingRule,
-    QualityRule,
-    TieFallback,
-    appraise_study,
-    assign_grade,
-    compute_indices,
-)
+from .engine import AppraisalPolicy, appraise_study, assign_grade, compute_indices
 from .errors import ConsistencyError, GraspError
 from .model import GradeResult, ToolProfile
 from .report import ReportFormat, grade_to_obj, render_detailed_report, render_evidence_summary
@@ -42,12 +34,12 @@ class ExitStatus(IntEnum):
     INTERNAL = 3
 
 
-#: The policy flags of ``grade`` and ``report``: (AppraisalPolicy field, rule enum, help).
-_POLICY_FLAGS = (
-    ("matching_rule", MatchingRule, "override the matching resolution rule"),
-    ("quality_rule", QualityRule, "override the quality resolution rule"),
-    ("tie_fallback", TieFallback, "override the full-tie fallback of the mixed evidence protocol"),
-)
+#: Help of the policy flags of ``grade`` and ``report``, one per AppraisalPolicy field.
+_POLICY_HELP = {
+    "matching_rule": "override the matching resolution rule",
+    "quality_rule": "override the quality resolution rule",
+    "tie_fallback": "override the full-tie fallback of the mixed evidence protocol",
+}
 
 _DIRECTION_TOKENS = {
     "positive": "Positive",
@@ -86,9 +78,9 @@ def _grading_parser() -> argparse.ArgumentParser:
     parser.add_argument("--reference-year", type=int,
                         help="reference year for bibliometric indices (default: newest record year)")
     _add_strictness(parser)
-    for field, rule, text in _POLICY_FLAGS:
-        flag = "--" + field.replace("_", "-")
-        parser.add_argument(flag, choices=[m.value for m in rule], help=text)
+    for f in fields(AppraisalPolicy):
+        parser.add_argument("--" + f.name.replace("_", "-"), choices=[m.value for m in type(f.default)],
+                            help=_POLICY_HELP[f.name])
     parser.add_argument(
         "--stamp", action="store_true",
         help="include a generation timestamp (output is otherwise reproducible)",
@@ -96,30 +88,18 @@ def _grading_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_corpus(args: argparse.Namespace) -> corpus_io.Corpus:
-    return corpus_io.parse_corpus(
-        _read(args.corpus), strict=args.strict, on_warning=_warn
-    )
-
-
 def _grade_selected(
     args: argparse.Namespace,
 ) -> tuple[corpus_io.Corpus, AppraisalPolicy, list[tuple[ToolProfile, GradeResult]]]:
     """Load the corpus and grade every tool, or only ``--tool``."""
-    corpus = _load_corpus(args)
+    corpus = corpus_io.parse_corpus(_read(args.corpus), strict=args.strict, on_warning=_warn)
     # Precedence: flag > corpus-embedded > default.
-    flags = {f: rule(getattr(args, f)) for f, rule, _ in _POLICY_FLAGS if getattr(args, f)}
+    flags = {f.name: type(f.default)(getattr(args, f.name))
+             for f in fields(AppraisalPolicy) if getattr(args, f.name)}
     policy = replace(corpus.policy, **flags)
     tools = corpus.tools if args.tool is None else (corpus.tool(args.tool),)
     graded = [(tool, assign_grade(tool, corpus.studies_for(tool.id), policy)) for tool in tools]
     return corpus, policy, graded
-
-
-def _reference_year(args: argparse.Namespace, corpus: corpus_io.Corpus, tool: ToolProfile) -> int:
-    if args.reference_year is not None:
-        return args.reference_year
-    years = [tool.year] + [s.year for s in corpus.studies_for(tool.id)]
-    return max(years)
 
 
 def _grade_line(result: GradeResult) -> str:
@@ -139,16 +119,18 @@ def _documents(
     corpus: corpus_io.Corpus,
     policy: AppraisalPolicy,
     graded: list[tuple[ToolProfile, GradeResult]],
-    layout: ReportFormat,
 ) -> Iterator[tuple[ToolProfile, Union[str, dict]]]:
     """Yield each graded tool's document: its detailed report and, with
     ``--summary``, the evidence summary of its gradable studies."""
-    stamp = None
+    layout, stamp = ReportFormat(args.layout), None
     if args.stamp:
         from datetime import datetime, timezone
         stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
     for tool, result in graded:
-        indices = compute_indices(tool, _reference_year(args, corpus, tool))
+        year = args.reference_year
+        if year is None:
+            year = max(record.year for record in (tool, *corpus.studies_for(tool.id)))
+        indices = compute_indices(tool, year)
         report = render_detailed_report(tool, result, indices, layout, generated_at=stamp)
         if not args.summary:
             yield tool, report
@@ -166,14 +148,12 @@ def _write_reports(
     corpus: corpus_io.Corpus,
     policy: AppraisalPolicy,
     graded: list[tuple[ToolProfile, GradeResult]],
-    out_dir: str,
-    layout: ReportFormat,
 ) -> None:
-    directory = Path(out_dir)
+    directory, layout = Path(args.out), ReportFormat(args.layout)
     suffix = ".json" if layout is ReportFormat.STRUCTURED else ".md"
     # Every document is built before anything is written.
     files = []
-    for tool, document in _documents(args, corpus, policy, graded, layout):
+    for tool, document in _documents(args, corpus, policy, graded):
         if layout is ReportFormat.STRUCTURED:
             document = json.dumps(document, indent=2, ensure_ascii=False) + "\n"
         files.append((directory / f"{tool.id}{suffix}", document))
@@ -204,19 +184,18 @@ def _cmd_grade(args: argparse.Namespace) -> int:
     for _, result in graded:
         if result.needs_review:
             _warn(f"{result.tool_id}: grade needs review ({result.justification})")
-    if args.report:
-        _write_reports(args, corpus, policy, graded, args.report, ReportFormat(args.layout))
+    if args.out:
+        _write_reports(args, corpus, policy, graded)
     return ExitStatus.OK
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
     corpus, policy, graded = _grade_selected(args)
-    layout = ReportFormat(args.layout)
     if args.out:
-        _write_reports(args, corpus, policy, graded, args.out, layout)
+        _write_reports(args, corpus, policy, graded)
         return ExitStatus.OK
-    documents = [document for _, document in _documents(args, corpus, policy, graded, layout)]
-    if layout is ReportFormat.STRUCTURED:
+    documents = [document for _, document in _documents(args, corpus, policy, graded)]
+    if ReportFormat(args.layout) is ReportFormat.STRUCTURED:
         print(json.dumps(documents if args.tool is None else documents[0], indent=2))
     else:
         print("\n".join(documents), end="")
@@ -306,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     grade = sub.add_parser("grade", parents=grading, help="grade every tool in a corpus")
     grade.add_argument("--format", choices=["text", "structured"], default="text")
-    grade.add_argument("--report", metavar="DIR", help="also write detailed reports to DIR")
+    grade.add_argument("--report", dest="out", metavar="DIR", help="also write detailed reports to DIR")
     grade.set_defaults(func=_cmd_grade, summary=False)
 
     report = sub.add_parser("report", parents=grading, help="render detailed reports")

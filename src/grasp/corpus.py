@@ -24,7 +24,7 @@ from functools import cache, cached_property
 from operator import attrgetter
 from typing import AbstractSet, Any, Callable, ClassVar, Mapping, Optional, Sequence
 
-from .engine import AppraisalPolicy, MatchingRule, QualityRule, TieFallback
+from .engine import AppraisalPolicy
 from .errors import (
     ConsistencyError,
     CorpusError,
@@ -133,8 +133,13 @@ def _as_obj(value: Any, path: str) -> dict:
     if not isinstance(value, dict):
         raise SchemaError(f"{path}: expected an object, got {_type_name(value)}")
     if isinstance(value, _Object) and value.repeated:
-        raise SchemaError(f"{path}.{value.repeated[0]}: duplicate field")
+        raise SchemaError(f"{path}.{_key(value.repeated[0])}: duplicate field")
     return value
+
+
+def _key(key: str) -> str:
+    """A JSON key as a message shows it: its repr when it would not print as one line."""
+    return key if key.isprintable() else repr(key)
 
 
 def _as_list(value: Any, path: str) -> list:
@@ -159,7 +164,7 @@ def _as_str(value: Any, path: str) -> str:
 def _as_tool_id(value: Any, path: str) -> str:
     # A tool id is the first space-separated field of a ``grade`` line and
     # names a report file, so it is one printable word that no platform reads
-    # as a path.
+    # as a path and that fits NAME_MAX (255 bytes) as ``.{id}.json.{pid}.tmp``.
     value = _as_str(value, path)
     if not value:
         raise SchemaError(f"{path}: tool id must not be empty")
@@ -167,6 +172,8 @@ def _as_tool_id(value: Any, path: str) -> str:
         raise SchemaError(f"{path}: tool id {value!r} holds a non-printable character")
     if " " in value or "/" in value or "\\" in value:
         raise SchemaError(f"{path}: tool id {value!r} holds a space or a path separator")
+    if len(value.encode("utf-8")) > 200:
+        raise SchemaError(f"{path}: tool id is longer than 200 bytes")
     return value
 
 
@@ -210,7 +217,7 @@ def _enum_tokens(enum_cls) -> dict[str, Any]:
 def _check_unknown(obj: dict, allowed: AbstractSet[str], path: str, sink: _Collector) -> None:
     if obj.keys() <= allowed:
         return
-    for key in sorted(obj.keys() - allowed):
+    for key in map(_key, sorted(obj.keys() - allowed)):
         if sink.strict:
             sink.errors.append(SchemaError(f"{path}.{key}: unknown field"))
         else:
@@ -380,10 +387,7 @@ _STUDY_TABLE = _Table(
 )
 
 _POLICY_TABLE = _Table(
-    AppraisalPolicy,
-    _Field("matching_rule", *_enum(MatchingRule)),
-    _Field("quality_rule", *_enum(QualityRule)),
-    _Field("tie_fallback", *_enum(TieFallback)),
+    AppraisalPolicy, *(_Field(f.name, *_enum(type(f.default))) for f in fields(AppraisalPolicy))
 )
 
 
@@ -479,12 +483,12 @@ def _cross_checks(
     for path, study in studies:
         if study.id in seen_studies:
             sink.errors.append(SchemaError(
-                f"{path}.id: duplicate study id '{study.id}' (also at {seen_studies[study.id]})"
+                f"{path}.id: duplicate study id {study.id!r} (also at {seen_studies[study.id]})"
             ))
         seen_studies[study.id] = path
         if study.tool_id not in seen_tools and study.tool_id not in unparsed:
             sink.errors.append(DanglingReferenceError(
-                f"{path}.tool_id: no tool with id '{study.tool_id}'"
+                f"{path}.tool_id: no tool with id {study.tool_id!r}"
             ))
         by_tool.setdefault(study.tool_id, []).append((path, study))
 
@@ -544,7 +548,7 @@ def load_corpus(
         version = _as_str(_require(top, "schema_version", "$"), "$.schema_version")
         if version != SCHEMA_VERSION:
             raise SchemaError(
-                f"$.schema_version: expected '{SCHEMA_VERSION}', got '{version}'"
+                f"$.schema_version: expected '{SCHEMA_VERSION}', got {version!r}"
             )
         raw_tools = _as_list(_require(top, "tools", "$"), "$.tools")
         raw_studies = _as_list(_require(top, "studies", "$"), "$.studies")
@@ -646,15 +650,15 @@ def _csv_rows(data: bytes | str, expected_header: tuple[str, str], what: str) ->
         raise CorpusSyntaxError(f"{what}: not valid UTF-8: {exc}") from exc
     # Spreadsheet programs start a "CSV UTF-8" file with a byte-order mark.
     text = text.removeprefix("\ufeff")
+    # A record is numbered by the line it starts on, which a quoted line break moves.
+    reader, rows, lineno = csv.reader(io.StringIO(text)), [], 1
     try:
-        parsed = list(csv.reader(io.StringIO(text)))
+        for row in reader:
+            if any(cell.strip() for cell in row):
+                rows.append((lineno, row))
+            lineno = reader.line_num + 1
     except csv.Error as exc:
         raise CorpusSyntaxError(f"{what}: malformed CSV: {exc}") from exc
-    rows = [
-        (lineno, row)
-        for lineno, row in enumerate(parsed, start=1)
-        if any(cell.strip() for cell in row)
-    ]
     if not rows or tuple(cell.strip().lower() for cell in rows[0][1]) != expected_header:
         raise SchemaError(f"{what}: header row must be '{','.join(expected_header)}'")
     for lineno, row in rows[1:]:
@@ -671,9 +675,9 @@ def parse_rater_sheet(data: bytes | str) -> dict[str, GradeLevel]:
         if not tool_id:
             raise SchemaError(f"rater sheet: line {lineno}: empty tool_id")
         if token.lower() not in _enum_tokens(GradeLevel):
-            raise UnknownGrade(f"rater sheet: line {lineno}: unknown grade '{token}'")
+            raise UnknownGrade(f"rater sheet: line {lineno}: unknown grade {token!r}")
         if tool_id in grades:
-            raise DuplicateTool(f"rater sheet: line {lineno}: tool '{tool_id}' listed twice")
+            raise DuplicateTool(f"rater sheet: line {lineno}: tool {tool_id!r} listed twice")
         grades[tool_id] = _enum_tokens(GradeLevel)[token.lower()]
     return grades
 
@@ -702,7 +706,7 @@ def parse_survey_sheet(data: bytes | str) -> dict[str, list[int]]:
             )
         if token not in ("1", "2", "3", "4", "5"):
             raise OutOfRange(
-                f"survey sheet: line {lineno}: response must be an integer 1..5, got '{token}'"
+                f"survey sheet: line {lineno}: response must be an integer 1..5, got {token!r}"
             )
         responses.setdefault(question_id, []).append(int(token))
     return responses

@@ -72,7 +72,8 @@ class AppraisalPolicy:
     """Settings that parameterise one grading run.
 
     The policy is fixed for a run and its fingerprint is recorded in every
-    grade justification.
+    grade justification. Every field is a rule enum whose default is a member
+    of it; the corpus ``policy`` block and the CLI's policy flags derive from that.
     """
 
     matching_rule: MatchingRule = MatchingRule.STRICT_ALL
@@ -101,7 +102,7 @@ def resolve_matching(record: StudyRecord, policy: AppraisalPolicy) -> MatchingVe
     flags = {k: v for k, v in record.matching_fields.items() if k in MATCHING_FIELD_KEYS}
     if not flags:
         raise UnresolvableMatching(
-            f"study '{record.id}': no matching override and no matching fields"
+            f"study {record.id!r}: no matching override and no matching fields"
         )
     if policy.matching_rule is MatchingRule.STRICT_ALL:
         complete = len(flags) == len(MATCHING_FIELD_KEYS)
@@ -122,7 +123,7 @@ def resolve_quality(record: StudyRecord, policy: AppraisalPolicy) -> QualityVerd
         return record.quality_override
     if policy.quality_rule is QualityRule.OVERRIDE_ONLY:
         raise UnresolvableQuality(
-            f"study '{record.id}': no quality override and policy is override_only"
+            f"study {record.id!r}: no quality override and policy is override_only"
         )
     trues = sum(bool(v) for v in record.quality_fields.values())
     falses = sum(not v for v in record.quality_fields.values())
@@ -222,7 +223,7 @@ def aggregate_bucket(
     if level is None:
         level = studies[0].level
     if level is None:
-        raise NoGradableEvidence(f"tool '{tool.id}': study '{studies[0].id}' has no level")
+        raise NoGradableEvidence(f"tool '{tool.id}': study {studies[0].id!r} has no level")
     ordered = tuple(sorted(studies, key=lambda s: s.id))
 
     n_pos = sum(_is_positive(s.direction) for s in ordered)

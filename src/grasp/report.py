@@ -87,9 +87,12 @@ def _yesno(flag: bool) -> str:
     return "Yes" if flag else "No"
 
 
-def _escape_cell(value: str) -> str:
-    # Free-text fields must not break the table grid.
-    return value.replace("|", "\\|").replace("\n", " ")
+#: Every character ``str.splitlines`` breaks on (none is printable), folded into one space.
+_LINE_BREAKS = str.maketrans(dict.fromkeys("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029", " "))
+
+
+def _one_line(value: str) -> str:
+    return value if value.isprintable() else value.translate(_LINE_BREAKS)
 
 
 def _opt(value: Optional[object]) -> str:
@@ -103,7 +106,8 @@ def _enum_list(values, enum_cls) -> str:
 
 
 def _row_cells(*cells: str) -> str:
-    return "| " + " | ".join(map(_escape_cell, cells)) + " |"
+    # Free-text fields must not break the table grid.
+    return "| " + " | ".join([_one_line(cell.replace("|", "\\|")) for cell in cells]) + " |"
 
 
 def _legacy_grade(level: GradeLevel) -> str:
@@ -252,7 +256,7 @@ def _markdown_detailed(
     generated_at: Optional[str],
 ) -> str:
     title, fields, ladder, results = layout
-    lines = [f"# {title}: {tool.name}", ""]
+    lines = [f"# {title}: {_one_line(tool.name)}", ""]
     lines += _stamp_lines(generated_at, result.policy)
     lines += ["", "| Field | Value |", "| --- | --- |"]
     lines += [_row_cells(label, cell(tool, indices)) for label, cell in fields]

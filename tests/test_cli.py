@@ -200,6 +200,13 @@ class TestRaters:
         assert code == 0
         assert "p=" in out and "p<" not in out
 
+    def test_error_names_the_line_a_record_starts_on(self, capsys, tmp_path):
+        # The quoted field spans lines 2 and 3, so the bad grade is on line 4.
+        sheet = tmp_path / "r.csv"
+        sheet.write_text('tool_id,grade\n"a\nb",A1\nc,Z9\n')
+        code, out, err = run(capsys, "raters", str(sheet), str(sheet))
+        assert (code, out, err) == (1, "", "error: rater sheet: line 4: unknown grade 'Z9'\n")
+
     def test_structured_format(self, capsys):
         code, out, _ = run(capsys, "raters", R1, AUTHORS, "--format", "structured")
         assert code == 0
@@ -254,6 +261,15 @@ class TestSurvey:
         assert (code, out) == (1, "")
         assert err == f"error: survey sheet: line 3: {message}\n"
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_error_names_the_line_a_record_starts_on(self, capsys, tmp_path, newline):
+        # The quoted response spans lines 2 and 3, so the bad one is on line 4.
+        sheet = tmp_path / "s.csv"
+        sheet.write_bytes(newline.join(["question_id,response", 'q1,"3\n"', "q2,9", ""]).encode())
+        code, out, err = run(capsys, "survey", str(sheet))
+        assert (code, out) == (1, "")
+        assert err == "error: survey sheet: line 4: response must be an integer 1..5, got '9'\n"
+
     def test_structured_format(self, capsys):
         code, out, _ = run(capsys, "survey", SURVEY, "--format", "structured")
         assert code == 0
@@ -301,13 +317,16 @@ class TestValidate:
         ("a b", "tool id 'a b' holds a space or a path separator"),
         ("x/y", "tool id 'x/y' holds a space or a path separator"),
         ("a\\b", r"tool id 'a\\b' holds a space or a path separator"),
-    ], ids=["\n", "\t", "\x00", "\u2028", "empty", "space", "slash", "backslash"])
+        ("z" * 201, "tool id is longer than 200 bytes"),
+        ("é" * 101, "tool id is longer than 200 bytes"),
+    ], ids=["\n", "\t", "\x00", "\u2028", "empty", "space", "slash", "backslash", "201-bytes",
+            "202-utf8-bytes"])
     def test_tool_id_with_a_non_printable_character_is_rejected(
         self, capsys, tmp_path, tool_id, message
     ):
         # grade prints one line of space-separated fields per tool, and a report
         # file is named after its tool, so an id must not break, hide, blank or
-        # shift a line, nor name a path.
+        # shift a line, nor name a path or a file name too long for the platform.
         doc = json.loads((FIXTURES / "grasp8.json").read_text())
         doc["tools"][7]["id"] = tool_id
         for study in doc["studies"]:
@@ -320,6 +339,52 @@ class TestValidate:
         assert err == f"SchemaError: $.tools[7].id: {message}\n"
         code, out, _ = run(capsys, "grade", str(path))
         assert (code, out) == (1, "")
+        code, out, _ = run(capsys, "grade", str(path), "--report", str(tmp_path / "out"))
+        assert (code, out) == (1, "")
+        assert not (tmp_path / "out").exists()
+
+    def test_tool_id_of_200_bytes_is_accepted(self, capsys, tmp_path):
+        tool_id = "é" * 99 + "zz"
+        doc = json.loads((FIXTURES / "grasp8.json").read_text())
+        doc["tools"][7]["id"] = tool_id
+        for study in doc["studies"]:
+            if study["tool_id"] == "taylor":
+                study["tool_id"] = tool_id
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(doc))
+        code, _, _ = run(capsys, "grade", str(path), "--report", str(tmp_path / "out"))
+        assert code == 0
+        assert (tmp_path / "out" / f"{tool_id}.md").is_file()
+
+    def test_forged_study_id_gives_one_line(self, capsys, tmp_path):
+        # Each fault is one stderr line, whatever text a corpus string holds.
+        forged = "x\nSchemaError: fake"
+        doc = json.loads((FIXTURES / "grasp8.json").read_text())
+        doc["studies"][0]["id"] = doc["studies"][1]["id"] = forged
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "validate", str(path))
+        assert (code, out) == (1, "")
+        assert err == (
+            "SchemaError: $.studies[1].id: duplicate study id 'x\\nSchemaError: fake'"
+            " (also at $.studies[0])\n"
+        )
+
+    @pytest.mark.parametrize("repeat, message", [
+        (False, "unknown field"), (True, "duplicate field"),
+    ], ids=["unknown", "repeated"])
+    def test_forged_key_gives_one_line(self, capsys, tmp_path, repeat, message):
+        forged = "x\nSchemaError: fake"
+        doc = json.loads((FIXTURES / "grasp8.json").read_text())
+        doc["tools"][0]["KEY1"] = 1
+        if repeat:
+            doc["tools"][0]["KEY2"] = 2
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc).replace('"KEY1"', json.dumps(forged))
+                        .replace('"KEY2"', json.dumps(forged)))
+        code, out, err = run(capsys, "validate", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"SchemaError: $.tools[0].'x\\nSchemaError: fake': {message}\n"
 
     def test_lenient_unknown_field_warns_but_passes(self, capsys, tmp_path):
         doc = json.loads((FIXTURES / "grasp8.json").read_text())

@@ -137,12 +137,26 @@ class TestDetailedReport:
 
     def test_free_text_cells_cannot_break_the_table(self, corpus8):
         tool, _, result, indices = _graded(corpus8, "taylor")
-        hostile = replace(tool, intended_use="predict a | b\nand c")
-        body = render_detailed_report(hostile, result, indices)
-        assert _cells(body, "Intended Use") == ["predict a \\| b and c"]
-        for line in body.splitlines():
-            if line.startswith("|"):
-                assert line.replace("\\|", "").count("|") <= len(line.split(" | ")) + 1
+        for newline in ("\n", "\r", "\x85", "\u2028"):
+            hostile = replace(tool, intended_use=f"predict a | b{newline}and c")
+            body = render_detailed_report(hostile, result, indices)
+            assert _cells(body, "Intended Use") == ["predict a \\| b and c"], repr(newline)
+            # Every line break str.splitlines knows of is folded, so only "\n" ends a line.
+            assert len(body.splitlines()) == body.count("\n"), repr(newline)
+            for line in body.splitlines():
+                if line.startswith("|"):
+                    assert line.replace("\\|", "").count("|") <= len(line.split(" | ")) + 1
+
+    @pytest.mark.parametrize("layout", [ReportFormat.MARKDOWN_TABLE4, ReportFormat.MARKDOWN_TABLE3_LEGACY],
+                             ids=["table4", "table3"])
+    def test_tool_name_cannot_add_a_heading(self, corpus8, layout):
+        tool, _, result, indices = _graded(corpus8, "taylor")
+        hostile = replace(tool, name="Taylor\n## Injected heading\u2028x")
+        body = render_detailed_report(hostile, result, indices, layout)
+        headings = [line for line in body.splitlines() if line.startswith("#")]
+        assert len(headings) == 1
+        assert headings[0].endswith(": Taylor ## Injected heading x")
+        assert _cells(body, "Name") == ["Taylor ## Injected heading x"]
 
 
 class TestLegacyLayout:
