@@ -504,7 +504,7 @@ def _cross_checks(
                     sink.errors.append(ConsistencyError(
                         f"{path}.level: tool '{tool.id}' has {len(external)} external"
                         f" validation(s), so the level must be {derived.value},"
-                        f" got {study.level.value if study.level else 'none'}"
+                        f" got {study.level.value}"
                     ))
         if tool.studies_count != len(attached):
             message = (

@@ -12,7 +12,7 @@ concurrent tasks without coordination.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, NamedTuple, Optional
@@ -27,24 +27,20 @@ class Phase(Enum):
 
     @property
     def letter(self) -> str:
-        return _PHASE_LETTER[self]
+        return _PHASE_ROWS[self][0]
 
     @property
     def display(self) -> str:
-        return _PHASE_DISPLAY[self]
+        return _PHASE_ROWS[self][1]
 
 
-_PHASE_LETTER = {
-    Phase.BEFORE_IMPLEMENTATION: "C",
-    Phase.PLANNING_FOR_IMPLEMENTATION: "B",
-    Phase.AFTER_IMPLEMENTATION: "A",
+#: One row per phase: (ladder letter, display name).
+_PHASE_ROWS = {
+    Phase.BEFORE_IMPLEMENTATION: ("C", "Before Implementation"),
+    Phase.PLANNING_FOR_IMPLEMENTATION: ("B", "Planning for Implementation"),
+    Phase.AFTER_IMPLEMENTATION: ("A", "After Implementation"),
 }
-
-_PHASE_DISPLAY = {
-    Phase.BEFORE_IMPLEMENTATION: "Before Implementation",
-    Phase.PLANNING_FOR_IMPLEMENTATION: "Planning for Implementation",
-    Phase.AFTER_IMPLEMENTATION: "After Implementation",
-}
+_PHASE_OF_LETTER = {letter: phase for phase, (letter, _) in _PHASE_ROWS.items()}
 
 
 class GradeLevel(Enum):
@@ -73,37 +69,16 @@ class GradeLevel(Enum):
 
     @property
     def descriptor(self) -> str:
-        return _DESCRIPTOR[self]
+        return _LADDER[self].descriptor
 
     @property
     def evidence_label(self) -> str:
         """Phase-C evidence label ("High Evidence" etc.); empty elsewhere."""
-        return _EVIDENCE_LABEL.get(self, "")
+        return _LADDER[self].evidence_label
 
 
 #: Members are declared in ladder order, so their position is their rank.
 _RANK = {level: position for position, level in enumerate(GradeLevel)}
-
-_PHASE_OF_LETTER = {letter: phase for phase, letter in _PHASE_LETTER.items()}
-
-_DESCRIPTOR = {
-    GradeLevel.C0: "Insufficient internal validity",
-    GradeLevel.C3: "Internal validation only",
-    GradeLevel.C2: "External validation once",
-    GradeLevel.C1: "External validation multiple times",
-    GradeLevel.B3: "Usability testing reported",
-    GradeLevel.B2: "Potential effect reported",
-    GradeLevel.B1: "Potential effect and usability both reported",
-    GradeLevel.A3: "Impact evaluated in subjective studies",
-    GradeLevel.A2: "Impact evaluated in observational studies",
-    GradeLevel.A1: "Impact evaluated in experimental studies",
-}
-
-_EVIDENCE_LABEL = {
-    GradeLevel.C1: "High Evidence",
-    GradeLevel.C2: "Medium Evidence",
-    GradeLevel.C3: "Low Evidence",
-}
 
 
 def ordinal_rank(level: GradeLevel) -> int:
@@ -240,17 +215,41 @@ QUALITY_FIELD_KEYS = (
     "multi_site",
 )
 
-#: Levels a study of each type may declare. Development records may instead
-#: omit the level entirely, which makes them metadata-only (not graded).
+#: One ladder row: the level's descriptor, its phase-C evidence label, the
+#: study types that may declare it, and the impact subtype that pins it.
+_Rung = namedtuple("_Rung", "descriptor evidence_label study_types impact_subtype",
+                   defaults=("", (), None))
+
+#: The GRASP ladder, one row per level. Development records may also omit the
+#: level entirely, which makes them metadata-only (not graded).
+_LADDER: Mapping[GradeLevel, _Rung] = {
+    GradeLevel.C0: _Rung("Insufficient internal validity"),
+    GradeLevel.C3: _Rung("Internal validation only", "Low Evidence",
+                         (StudyType.INTERNAL_VALIDATION, StudyType.DEVELOPMENT)),
+    GradeLevel.C2: _Rung("External validation once", "Medium Evidence",
+                         (StudyType.EXTERNAL_VALIDATION,)),
+    GradeLevel.C1: _Rung("External validation multiple times", "High Evidence",
+                         (StudyType.EXTERNAL_VALIDATION,)),
+    GradeLevel.B3: _Rung("Usability testing reported", "", (StudyType.USABILITY,)),
+    GradeLevel.B2: _Rung("Potential effect reported", "", (StudyType.POTENTIAL_EFFECT,)),
+    GradeLevel.B1: _Rung("Potential effect and usability both reported"),
+    GradeLevel.A3: _Rung("Impact evaluated in subjective studies", "",
+                         (StudyType.POST_IMPLEMENTATION_IMPACT,), ImpactSubtype.SUBJECTIVE),
+    GradeLevel.A2: _Rung("Impact evaluated in observational studies", "",
+                         (StudyType.POST_IMPLEMENTATION_IMPACT,), ImpactSubtype.OBSERVATIONAL),
+    GradeLevel.A1: _Rung("Impact evaluated in experimental studies", "",
+                         (StudyType.POST_IMPLEMENTATION_IMPACT,), ImpactSubtype.EXPERIMENTAL),
+}
+
+#: Levels a study of each type may declare (empty for a type no row names).
 LEVELS_BY_STUDY_TYPE: Mapping[StudyType, frozenset[GradeLevel]] = {
-    StudyType.DEVELOPMENT: frozenset({GradeLevel.C3}),
-    StudyType.INTERNAL_VALIDATION: frozenset({GradeLevel.C3}),
-    StudyType.EXTERNAL_VALIDATION: frozenset({GradeLevel.C2, GradeLevel.C1}),
-    StudyType.USABILITY: frozenset({GradeLevel.B3}),
-    StudyType.POTENTIAL_EFFECT: frozenset({GradeLevel.B2}),
-    StudyType.POST_IMPLEMENTATION_IMPACT: frozenset(
-        {GradeLevel.A1, GradeLevel.A2, GradeLevel.A3}
-    ),
+    study_type: frozenset(level for level, row in _LADDER.items() if study_type in row.study_types)
+    for study_type in StudyType
+}
+
+#: A-levels pinned to the impact study design.
+LEVEL_BY_IMPACT_SUBTYPE: Mapping[ImpactSubtype, GradeLevel] = {
+    row.impact_subtype: level for level, row in _LADDER.items() if row.impact_subtype
 }
 
 
@@ -258,14 +257,6 @@ def external_validation_level(count: int) -> GradeLevel:
     """The level of a tool's external validations, fixed by how many distinct
     ones it has: two or more are C1 (validated multiple times), one is C2."""
     return GradeLevel.C1 if count >= 2 else GradeLevel.C2
-
-
-#: A-levels pinned to the impact study design.
-LEVEL_BY_IMPACT_SUBTYPE: Mapping[ImpactSubtype, GradeLevel] = {
-    ImpactSubtype.EXPERIMENTAL: GradeLevel.A1,
-    ImpactSubtype.OBSERVATIONAL: GradeLevel.A2,
-    ImpactSubtype.SUBJECTIVE: GradeLevel.A3,
-}
 
 
 @dataclass(frozen=True)

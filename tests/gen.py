@@ -3,18 +3,19 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
+from dataclasses import fields as dataclass_fields, replace
 from typing import Optional
 
 from grasp.corpus import Corpus
-from grasp.engine import AppraisalPolicy, MatchingRule, QualityRule, TieFallback
+from grasp.engine import AppraisalPolicy
 from grasp.model import (
+    LEVEL_BY_IMPACT_SUBTYPE,
+    LEVELS_BY_STUDY_TYPE,
     MATCHING_FIELD_KEYS,
     QUALITY_FIELD_KEYS,
     Automation,
     EvidenceClass,
     GradeLevel,
-    ImpactSubtype,
     InputSource,
     InputType,
     MatchingVerdict,
@@ -26,6 +27,7 @@ from grasp.model import (
     StudyType,
     ToolCategory,
     ToolProfile,
+    external_validation_level,
 )
 
 _WORDS = (
@@ -41,20 +43,14 @@ _CLASS_PAIRS = {
     EvidenceClass.C: (MatchingVerdict.NON_MATCHING, QualityVerdict.LOW),
 }
 
+# The study type each generated level is written with. Development records
+# may also declare C3, but the generator keeps them metadata-only.
 _TYPE_FOR_LEVEL = {
-    GradeLevel.C3: StudyType.INTERNAL_VALIDATION,
-    GradeLevel.B3: StudyType.USABILITY,
-    GradeLevel.B2: StudyType.POTENTIAL_EFFECT,
-    GradeLevel.A1: StudyType.POST_IMPLEMENTATION_IMPACT,
-    GradeLevel.A2: StudyType.POST_IMPLEMENTATION_IMPACT,
-    GradeLevel.A3: StudyType.POST_IMPLEMENTATION_IMPACT,
+    level: study_type for study_type, levels in LEVELS_BY_STUDY_TYPE.items()
+    if study_type is not StudyType.DEVELOPMENT for level in levels
 }
 
-_SUBTYPE = {
-    GradeLevel.A1: ImpactSubtype.EXPERIMENTAL,
-    GradeLevel.A2: ImpactSubtype.OBSERVATIONAL,
-    GradeLevel.A3: ImpactSubtype.SUBJECTIVE,
-}
+_SUBTYPE = {level: subtype for subtype, level in LEVEL_BY_IMPACT_SUBTYPE.items()}
 
 
 def _text(rng: random.Random, prefix: str) -> str:
@@ -158,7 +154,7 @@ def random_tool_studies(
         return f"{tool.id}-s{counter:04d}"
 
     n_external = rng.choice((0, 0, 1, 2, 3))
-    external_level = GradeLevel.C1 if n_external >= 2 else GradeLevel.C2
+    external_level = external_validation_level(n_external)
     for _ in range(n_external):
         studies.append(
             random_study(rng, tool, next_id(), external_level, StudyType.EXTERNAL_VALIDATION)
@@ -174,7 +170,7 @@ def random_tool_studies(
         studies.append(random_study(rng, tool, next_id(), None, StudyType.DEVELOPMENT))
     if not any(s.is_gradable for s in studies):
         studies.append(
-            random_study(rng, tool, next_id(), GradeLevel.C3, StudyType.INTERNAL_VALIDATION)
+            random_study(rng, tool, next_id(), GradeLevel.C3, _TYPE_FOR_LEVEL[GradeLevel.C3])
         )
     return studies, counter
 
@@ -183,9 +179,9 @@ def random_policy(rng: random.Random) -> AppraisalPolicy:
     # The golden grade digests depend on this order of draws: per field, a coin, then a value.
     if rng.random() < 0.7:
         return AppraisalPolicy()
-    rules = {"matching_rule": MatchingRule, "quality_rule": QualityRule, "tie_fallback": TieFallback}
     return AppraisalPolicy(**{
-        field: rng.choice(list(rule)) for field, rule in rules.items() if rng.random() < 0.5
+        f.name: rng.choice(list(type(f.default))) for f in dataclass_fields(AppraisalPolicy)
+        if rng.random() < 0.5
     })
 
 

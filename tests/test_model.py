@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 from grasp.model import (
     LEVEL_BY_IMPACT_SUBTYPE,
     LEVELS_BY_STUDY_TYPE,
@@ -13,6 +15,9 @@ from grasp.model import (
     StudyType,
     ordinal_rank,
 )
+from grasp.report import DETAIL_LADDER
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 # Frozen ordinal scale. The placement of the in-between rungs is pinned by
 # the interrater reproduction in the acceptance suite.
@@ -61,6 +66,8 @@ def test_phase_c_evidence_labels():
 
 
 def test_level_study_type_consistency_table():
+    assert set(LEVELS_BY_STUDY_TYPE) == set(StudyType)
+    assert LEVELS_BY_STUDY_TYPE[StudyType.DEVELOPMENT] == {GradeLevel.C3}
     assert LEVELS_BY_STUDY_TYPE[StudyType.INTERNAL_VALIDATION] == {GradeLevel.C3}
     assert LEVELS_BY_STUDY_TYPE[StudyType.EXTERNAL_VALIDATION] == {GradeLevel.C2, GradeLevel.C1}
     assert LEVELS_BY_STUDY_TYPE[StudyType.USABILITY] == {GradeLevel.B3}
@@ -75,9 +82,21 @@ def test_level_study_type_consistency_table():
 
 
 def test_impact_subtype_levels():
+    assert set(LEVEL_BY_IMPACT_SUBTYPE) == set(ImpactSubtype)
     assert LEVEL_BY_IMPACT_SUBTYPE[ImpactSubtype.EXPERIMENTAL] is GradeLevel.A1
     assert LEVEL_BY_IMPACT_SUBTYPE[ImpactSubtype.OBSERVATIONAL] is GradeLevel.A2
     assert LEVEL_BY_IMPACT_SUBTYPE[ImpactSubtype.SUBJECTIVE] is GradeLevel.A3
+
+
+def test_readme_ladder_matches_the_model():
+    # Highest rank first, with the report's own phase and level-of-evidence cells.
+    rows = [
+        f"| {ordinal_rank(level)} | {level.value} | {phase} | {evidence} |"
+        for (level,), (phase, evidence, _) in reversed(DETAIL_LADDER)
+    ]
+    header = ["| Rank | Grade | Phase of Evaluation | Level of Evidence |", "|---|---|---|---|"]
+    table = "\n".join([*header, *rows])
+    assert f"\n{table}\n" in README.read_text(encoding="utf-8")
 
 
 def test_qualifying_directions():
