@@ -215,7 +215,7 @@ def _cmd_raters(args: argparse.Namespace) -> int:
         only_a = sorted(grades_a.keys() - grades_b.keys())
         only_b = sorted(grades_b.keys() - grades_a.keys())
         raise ConsistencyError(
-            f"rater sheets cover different tools"
+            "", "rater sheets cover different tools"
             f" (only in {name_a}: {only_a or '-'}; only in {name_b}: {only_b or '-'})"
         )
     tool_ids = sorted(grades_a)

@@ -97,16 +97,20 @@ class Corpus:
 
 
 class _Collector:
-    """Error sink of one load: accumulates errors and warnings for a full listing.
-
-    ``strict`` decides whether unknown fields and a wrong ``studies_count``
-    are errors or warnings.
-    """
+    """Error sink of one load: accumulates errors and warnings for a full listing."""
 
     def __init__(self, strict: bool):
         self.strict = strict
         self.errors: list[CorpusError] = []
         self.warnings: list[str] = []
+
+    def tolerable(self, fault: CorpusError, ignored: str = "") -> None:
+        """A fault that ``strict`` makes an error (an unknown field, a wrong
+        ``studies_count``); otherwise a warning: its text, then ``ignored``."""
+        if self.strict:
+            self.errors.append(fault)
+        else:
+            self.warnings.append(f"{fault}{ignored}")
 
 
 # --- typed accessors; every rejection names the offending field path ---
@@ -131,33 +135,33 @@ def _type_name(value: Any) -> str:
 
 def _as_obj(value: Any, path: str) -> dict:
     if not isinstance(value, dict):
-        raise SchemaError(f"{path}: expected an object, got {_type_name(value)}")
+        raise SchemaError(path, f"expected an object, got {_type_name(value)}")
     if isinstance(value, _Object) and value.repeated:
-        raise SchemaError(f"{path}.{_key(value.repeated[0])}: duplicate field")
+        raise SchemaError(f"{path}.{_key(value.repeated[0])}", "duplicate field")
     return value
 
 
 def _key(key: str) -> str:
-    """A JSON key as a message shows it: its repr when it would not print as one line."""
-    return key if key.isprintable() else repr(key)
+    """A JSON key as a path step shows it: bare when it is an identifier, else its repr."""
+    return key if key.isidentifier() else repr(key)
 
 
 def _as_list(value: Any, path: str) -> list:
     if not isinstance(value, list):
-        raise SchemaError(f"{path}: expected an array, got {_type_name(value)}")
+        raise SchemaError(path, f"expected an array, got {_type_name(value)}")
     return value
 
 
 def _as_str(value: Any, path: str) -> str:
     if not isinstance(value, str):
-        raise SchemaError(f"{path}: expected a string, got {_type_name(value)}")
+        raise SchemaError(path, f"expected a string, got {_type_name(value)}")
     # json.loads reads a lone surrogate escape such as "\ud800", which no
     # UTF-8 report or corpus file can hold.
     if not value.isascii():
         try:
             value.encode("utf-8")
         except UnicodeEncodeError:
-            raise SchemaError(f"{path}: string holds a lone UTF-16 surrogate") from None
+            raise SchemaError(path, "string holds a lone UTF-16 surrogate") from None
     return value
 
 
@@ -167,19 +171,19 @@ def _as_tool_id(value: Any, path: str) -> str:
     # as a path and that fits NAME_MAX (255 bytes) as ``.{id}.json.{pid}.tmp``.
     value = _as_str(value, path)
     if not value:
-        raise SchemaError(f"{path}: tool id must not be empty")
+        raise SchemaError(path, "tool id must not be empty")
     if not value.isprintable():
-        raise SchemaError(f"{path}: tool id {value!r} holds a non-printable character")
+        raise SchemaError(path, f"tool id {value!r} holds a non-printable character")
     if " " in value or "/" in value or "\\" in value:
-        raise SchemaError(f"{path}: tool id {value!r} holds a space or a path separator")
+        raise SchemaError(path, f"tool id {value!r} holds a space or a path separator")
     if len(value.encode("utf-8")) > 200:
-        raise SchemaError(f"{path}: tool id is longer than 200 bytes")
+        raise SchemaError(path, "tool id is longer than 200 bytes")
     return value
 
 
 def _as_bool(value: Any, path: str) -> bool:
     if not isinstance(value, bool):
-        raise SchemaError(f"{path}: expected a boolean, got {_type_name(value)}")
+        raise SchemaError(path, f"expected a boolean, got {_type_name(value)}")
     return value
 
 
@@ -187,25 +191,25 @@ def _finite(value: Any, path: str) -> Any:
     # json.loads reads NaN and +-Infinity (1e400 too), which cannot be emitted as
     # JSON; an integer beyond the float range overflows the indices' arithmetic.
     if not abs(value) <= sys.float_info.max:
-        raise SchemaError(f"{path}: expected a finite number")
+        raise SchemaError(path, "expected a finite number")
     return value
 
 
 def _as_int(value: Any, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"{path}: expected an integer, got {_type_name(value)}")
+        raise SchemaError(path, f"expected an integer, got {_type_name(value)}")
     return _finite(value, path)
 
 
 def _as_number(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{path}: expected a number, got {_type_name(value)}")
+        raise SchemaError(path, f"expected a number, got {_type_name(value)}")
     return float(_finite(value, path))
 
 
 def _require(obj: dict, key: str, path: str) -> Any:
     if key not in obj:
-        raise SchemaError(f"{path}.{key}: required field is missing")
+        raise SchemaError(f"{path}.{key}", "required field is missing")
     return obj[key]
 
 
@@ -218,10 +222,7 @@ def _check_unknown(obj: dict, allowed: AbstractSet[str], path: str, sink: _Colle
     if obj.keys() <= allowed:
         return
     for key in map(_key, sorted(obj.keys() - allowed)):
-        if sink.strict:
-            sink.errors.append(SchemaError(f"{path}.{key}: unknown field"))
-        else:
-            sink.warnings.append(f"{path}.{key}: unknown field ignored")
+        sink.tolerable(SchemaError(f"{path}.{key}", "unknown field"), " ignored")
 
 
 # --- field codecs: a (decode, encode) pair per kind of JSON value ---
@@ -245,7 +246,7 @@ def _at_least(type_check: Callable[[Any, str], Any], low: int, word: str) -> _Co
     def decode(value: Any, path: str, sink: _Collector):
         value = type_check(value, path)
         if value < low:
-            raise SchemaError(f"{path}: must be {word}, got {value}")
+            raise SchemaError(path, f"must be {word}, got {value}")
         return value
     return decode, _same
 
@@ -259,7 +260,7 @@ def _enum(enum_cls) -> _Codec:
         token = _as_str(value, path).strip().lower()
         if token not in members:
             allowed = ", ".join(sorted(members))
-            raise SchemaError(f"{path}: unknown token {value!r}; expected one of: {allowed}")
+            raise SchemaError(path, f"unknown token {value!r}; expected one of: {allowed}")
         return members[token]
 
     return decode, attrgetter("value")
@@ -277,7 +278,7 @@ def _enum_set(enum_cls, noun: Optional[str] = None) -> _Codec:
             decode_item(item, f"{path}[{i}]", sink) for i, item in enumerate(items)
         )
         if noun and not members:
-            raise SchemaError(f"{path}: must name at least one {noun}")
+            raise SchemaError(path, f"must name at least one {noun}")
         return members
 
     def encode(members: frozenset) -> Optional[list[str]]:
@@ -402,7 +403,7 @@ def _decode_record(value: Any, path: str, table: _Table, sink: _Collector):
         if key in obj:
             values[attr] = decode(obj[key], f"{path}.{key}", sink)
         elif required:
-            raise SchemaError(f"{path}.{key}: required field is missing")
+            _require(obj, key, path)  # raises: the key is absent
     return table.model(**values)
 
 
@@ -421,11 +422,11 @@ def _study_consistency(study: StudyRecord, path: str) -> None:
     if study.level is None:
         if study.study_type is not StudyType.DEVELOPMENT:
             raise ConsistencyError(
-                f"{path}.level: required for study_type '{study.study_type.value}'"
+                f"{path}.level", f"required for study_type '{study.study_type.value}'"
             )
         if study.phase is not Phase.BEFORE_IMPLEMENTATION:
             raise ConsistencyError(
-                f"{path}.phase: metadata-only development record must be"
+                f"{path}.phase", "metadata-only development record must be"
                 f" 'before_implementation', got '{study.phase.value}'"
             )
         return
@@ -433,26 +434,26 @@ def _study_consistency(study: StudyRecord, path: str) -> None:
     if study.level not in allowed:
         tokens = ", ".join(sorted(level.value for level in allowed))
         raise ConsistencyError(
-            f"{path}: study_type '{study.study_type.value}' is inconsistent with"
+            path, f"study_type '{study.study_type.value}' is inconsistent with"
             f" level '{study.level.value}' (allowed: {tokens})"
         )
     if study.phase is not study.level.phase:
         raise ConsistencyError(
-            f"{path}.phase: level {study.level.value} belongs to phase"
+            f"{path}.phase", f"level {study.level.value} belongs to phase"
             f" '{study.level.phase.value}', got '{study.phase.value}'"
         )
     if study.study_type is StudyType.POST_IMPLEMENTATION_IMPACT:
         if study.impact_subtype is None:
-            raise ConsistencyError(f"{path}.impact_subtype: required for impact studies")
+            raise ConsistencyError(f"{path}.impact_subtype", "required for impact studies")
         pinned = LEVEL_BY_IMPACT_SUBTYPE[study.impact_subtype]
         if study.level is not pinned:
             raise ConsistencyError(
-                f"{path}: impact_subtype '{study.impact_subtype.value}' requires level"
+                path, f"impact_subtype '{study.impact_subtype.value}' requires level"
                 f" {pinned.value}, got {study.level.value}"
             )
     elif study.impact_subtype is not None:
         raise ConsistencyError(
-            f"{path}.impact_subtype: only valid for post_implementation_impact studies"
+            f"{path}.impact_subtype", "only valid for post_implementation_impact studies"
         )
 
 
@@ -474,7 +475,7 @@ def _cross_checks(
     for path, tool in tools:
         if tool.id in seen_tools:
             sink.errors.append(SchemaError(
-                f"{path}.id: duplicate tool id '{tool.id}' (also at {seen_tools[tool.id]})"
+                f"{path}.id", f"duplicate tool id '{tool.id}' (also at {seen_tools[tool.id]})"
             ))
         seen_tools[tool.id] = path
 
@@ -483,12 +484,12 @@ def _cross_checks(
     for path, study in studies:
         if study.id in seen_studies:
             sink.errors.append(SchemaError(
-                f"{path}.id: duplicate study id {study.id!r} (also at {seen_studies[study.id]})"
+                f"{path}.id", f"duplicate study id {study.id!r} (also at {seen_studies[study.id]})"
             ))
         seen_studies[study.id] = path
         if study.tool_id not in seen_tools and study.tool_id not in unparsed:
             sink.errors.append(DanglingReferenceError(
-                f"{path}.tool_id: no tool with id {study.tool_id!r}"
+                f"{path}.tool_id", f"no tool with id {study.tool_id!r}"
             ))
         by_tool.setdefault(study.tool_id, []).append((path, study))
 
@@ -502,19 +503,15 @@ def _cross_checks(
             for path, study in external:
                 if study.level is not derived:
                     sink.errors.append(ConsistencyError(
-                        f"{path}.level: tool '{tool.id}' has {len(external)} external"
+                        f"{path}.level", f"tool '{tool.id}' has {len(external)} external"
                         f" validation(s), so the level must be {derived.value},"
                         f" got {study.level.value}"
                     ))
         if tool.studies_count != len(attached):
-            message = (
-                f"{tool_path}.studies_count: declared {tool.studies_count} but"
+            sink.tolerable(ConsistencyError(
+                f"{tool_path}.studies_count", f"declared {tool.studies_count} but"
                 f" {len(attached)} study records reference '{tool.id}'"
-            )
-            if sink.strict:
-                sink.errors.append(ConsistencyError(message))
-            else:
-                sink.warnings.append(message)
+            ))
 
 
 def load_corpus(
@@ -530,26 +527,24 @@ def load_corpus(
     try:
         text = data.decode("utf-8") if isinstance(data, bytes) else data
     except UnicodeDecodeError as exc:
-        return None, [CorpusSyntaxError(f"not valid UTF-8: {exc}")], []
+        return None, [CorpusSyntaxError("", f"not valid UTF-8: {exc}")], []
     try:
         document = json.loads(text, object_pairs_hook=_decode_object)
     except json.JSONDecodeError as exc:
         return None, [CorpusSyntaxError(
-            f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+            "", f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         )], []
     except RecursionError:
-        return None, [CorpusSyntaxError("document nesting exceeds the parser limit")], []
+        return None, [CorpusSyntaxError("", "document nesting exceeds the parser limit")], []
     except ValueError as exc:  # an integer literal past int()'s digit limit
-        return None, [CorpusSyntaxError(f"malformed JSON: {exc}")], []
+        return None, [CorpusSyntaxError("", f"malformed JSON: {exc}")], []
 
     try:
         top = _as_obj(document, "$")
         _check_unknown(top, _TOP_KEYS, "$", sink)
         version = _as_str(_require(top, "schema_version", "$"), "$.schema_version")
         if version != SCHEMA_VERSION:
-            raise SchemaError(
-                f"$.schema_version: expected '{SCHEMA_VERSION}', got {version!r}"
-            )
+            raise SchemaError("$.schema_version", f"expected '{SCHEMA_VERSION}', got {version!r}")
         raw_tools = _as_list(_require(top, "tools", "$"), "$.tools")
         raw_studies = _as_list(_require(top, "studies", "$"), "$.studies")
     except CorpusError as exc:
@@ -643,11 +638,14 @@ def emit_corpus(corpus: Corpus) -> bytes:
 # --- rater sheets and survey sheets ---
 
 
-def _csv_rows(data: bytes | str, expected_header: tuple[str, str], what: str) -> list[tuple[int, list[str]]]:
+def _csv_rows(
+    data: bytes | str, expected_header: tuple[str, str], what: str
+) -> list[tuple[str, list[str]]]:
+    """The records after the header, each with its path ``"{what}: line N"``."""
     try:
         text = data.decode("utf-8") if isinstance(data, bytes) else data
     except UnicodeDecodeError as exc:
-        raise CorpusSyntaxError(f"{what}: not valid UTF-8: {exc}") from exc
+        raise CorpusSyntaxError(what, f"not valid UTF-8: {exc}") from exc
     # Spreadsheet programs start a "CSV UTF-8" file with a byte-order mark.
     text = text.removeprefix("\ufeff")
     # A record is numbered by the line it starts on, which a quoted line break moves.
@@ -655,29 +653,29 @@ def _csv_rows(data: bytes | str, expected_header: tuple[str, str], what: str) ->
     try:
         for row in reader:
             if any(cell.strip() for cell in row):
-                rows.append((lineno, row))
+                rows.append((f"{what}: line {lineno}", row))
             lineno = reader.line_num + 1
     except csv.Error as exc:
-        raise CorpusSyntaxError(f"{what}: malformed CSV: {exc}") from exc
+        raise CorpusSyntaxError(what, f"malformed CSV: {exc}") from exc
     if not rows or tuple(cell.strip().lower() for cell in rows[0][1]) != expected_header:
-        raise SchemaError(f"{what}: header row must be '{','.join(expected_header)}'")
-    for lineno, row in rows[1:]:
+        raise SchemaError(what, f"header row must be '{','.join(expected_header)}'")
+    for where, row in rows[1:]:
         if len(row) != 2:
-            raise CorpusSyntaxError(f"{what}: line {lineno}: expected 2 fields, got {len(row)}")
+            raise CorpusSyntaxError(where, f"expected 2 fields, got {len(row)}")
     return rows[1:]
 
 
 def parse_rater_sheet(data: bytes | str) -> dict[str, GradeLevel]:
     """Grades by tool id from a ``tool_id,grade`` CSV; tokens decode case-insensitively."""
     grades: dict[str, GradeLevel] = {}
-    for lineno, row in _csv_rows(data, ("tool_id", "grade"), "rater sheet"):
+    for where, row in _csv_rows(data, ("tool_id", "grade"), "rater sheet"):
         tool_id, token = row[0].strip(), row[1].strip()
         if not tool_id:
-            raise SchemaError(f"rater sheet: line {lineno}: empty tool_id")
+            raise SchemaError(where, "empty tool_id")
         if token.lower() not in _enum_tokens(GradeLevel):
-            raise UnknownGrade(f"rater sheet: line {lineno}: unknown grade {token!r}")
+            raise UnknownGrade(where, f"unknown grade {token!r}")
         if tool_id in grades:
-            raise DuplicateTool(f"rater sheet: line {lineno}: tool {tool_id!r} listed twice")
+            raise DuplicateTool(where, f"tool {tool_id!r} listed twice")
         grades[tool_id] = _enum_tokens(GradeLevel)[token.lower()]
     return grades
 
@@ -690,23 +688,16 @@ def parse_survey_sheet(data: bytes | str) -> dict[str, list[int]]:
     other scripts are rejected.
     """
     responses: dict[str, list[int]] = {}
-    for lineno, row in _csv_rows(data, ("question_id", "response"), "survey sheet"):
+    for where, row in _csv_rows(data, ("question_id", "response"), "survey sheet"):
         question_id, token = row[0].strip(), row[1].strip()
         if not question_id:
-            raise SchemaError(f"survey sheet: line {lineno}: empty question_id")
+            raise SchemaError(where, "empty question_id")
         # ``survey`` prints one tab-separated line per question, then the pooled "overall" line.
         if not question_id.isprintable():
-            raise SchemaError(
-                f"survey sheet: line {lineno}: question_id {question_id!r}"
-                " holds a non-printable character"
-            )
+            raise SchemaError(where, f"question_id {question_id!r} holds a non-printable character")
         if question_id == "overall":
-            raise SchemaError(
-                f"survey sheet: line {lineno}: question_id 'overall' names the pooled row"
-            )
+            raise SchemaError(where, "question_id 'overall' names the pooled row")
         if token not in ("1", "2", "3", "4", "5"):
-            raise OutOfRange(
-                f"survey sheet: line {lineno}: response must be an integer 1..5, got {token!r}"
-            )
+            raise OutOfRange(f"{where}: response must be an integer 1..5, got {token!r}")
         responses.setdefault(question_id, []).append(int(token))
     return responses

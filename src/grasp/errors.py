@@ -66,7 +66,19 @@ class OutOfRange(GraspError):
 
 
 class CorpusError(GraspError):
-    """Base class for corpus, rater-sheet, and survey-sheet rejections."""
+    """Base class for corpus, rater-sheet, and survey-sheet rejections.
+
+    ``path`` names the faulty place: a field path such as ``$.tools[7].year``,
+    a sheet such as ``rater sheet: line 4``, or "" for a fault of the whole
+    input. ``detail`` says what is wrong there.
+    """
+
+    def __init__(self, path: str, detail: str):
+        super().__init__(path, detail)
+        self.path, self.detail = path, detail
+
+    def __str__(self) -> str:
+        return f"{self.path}: {self.detail}" if self.path else self.detail
 
 
 class CorpusSyntaxError(CorpusError):

@@ -122,25 +122,19 @@ class AgreementLabel(Enum):
 
     @property
     def display(self) -> str:
-        return _LABEL_DISPLAY[self]
+        return _LABELS[self][0]
 
 
-_LABEL_DISPLAY = {
-    AgreementLabel.STRONGLY_DISAGREE: "Strongly Disagree",
-    AgreementLabel.SOMEWHAT_DISAGREE: "Somewhat Disagree",
-    AgreementLabel.NEITHER: "Neither Agree nor Disagree",
-    AgreementLabel.SOMEWHAT_AGREE: "Somewhat Agree",
-    AgreementLabel.STRONGLY_AGREE: "Strongly Agree",
+#: One row per label, in bin order: (display, upper bin edge). Each bin is
+#: half-open below except the first; the edges are literals, as computed
+#: edges such as 1 + 0.8 * 3 are not exact in floating point.
+_LABELS = {
+    AgreementLabel.STRONGLY_DISAGREE: ("Strongly Disagree", 1.8),
+    AgreementLabel.SOMEWHAT_DISAGREE: ("Somewhat Disagree", 2.6),
+    AgreementLabel.NEITHER: ("Neither Agree nor Disagree", 3.4),
+    AgreementLabel.SOMEWHAT_AGREE: ("Somewhat Agree", 4.2),
+    AgreementLabel.STRONGLY_AGREE: ("Strongly Agree", 5.0),
 }
-
-# Upper bin edges; each bin is half-open below except the first.
-_LABEL_BINS = (
-    (1.8, AgreementLabel.STRONGLY_DISAGREE),
-    (2.6, AgreementLabel.SOMEWHAT_DISAGREE),
-    (3.4, AgreementLabel.NEITHER),
-    (4.2, AgreementLabel.SOMEWHAT_AGREE),
-    (5.0, AgreementLabel.STRONGLY_AGREE),
-)
 
 
 def likert_mean(responses: Sequence[int]) -> float:
@@ -157,7 +151,7 @@ def agreement_label(mean_score: float) -> AgreementLabel:
     """Label for a Likert mean: 1.0-1.8 strongly disagree up to 4.2-5.0 strongly agree."""
     if not 1.0 <= mean_score <= 5.0:
         raise OutOfRange(f"Likert mean must lie in [1, 5], got {mean_score!r}")
-    for upper, label in _LABEL_BINS:
+    for label, (_, upper) in _LABELS.items():
         if mean_score <= upper:
             return label
 

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import ast
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +13,7 @@ import pytest
 
 import grasp
 from grasp.cli import build_parser, main
-from grasp.corpus import _STUDY_TABLE, _TOOL_TABLE
+from grasp.corpus import _STUDY_TABLE, _TOOL_TABLE, load_corpus
 from conftest import FIXTURES
 
 CORPUS = str(FIXTURES / "grasp8.json")
@@ -660,6 +662,66 @@ def _edited_corpora(fixture: dict, count: int):
                     if tool.get("id") == study.get("tool_id") and isinstance(declared, int):
                         tool["studies_count"] = declared - 1
         yield doc
+
+
+#: Keys that a field path must quote, so that each reads back as one step.
+AWKWARD_KEYS = ("a.b", "x[0]", "", "k: v", "'q'", "\u00e9")
+
+
+def _awkward_corpora(fixture: dict, rounds: int):
+    """``rounds`` seeded copies of ``fixture`` per awkward key, each with that
+    key added to one tool, study or flag map."""
+    rng = random.Random(0)
+    for _ in range(rounds):
+        for key in AWKWARD_KEYS:
+            doc = json.loads(json.dumps(fixture))
+            flag_maps = [study[name] for study in doc["studies"]
+                         for name in ("matching_fields", "quality_fields") if name in study]
+            rng.choice(doc["tools"] + doc["studies"] + flag_maps)[key] = True
+            yield doc
+
+
+#: One step of a field path: ``.key`` with a bare identifier or a quoted repr, or ``[i]``.
+_STEP = re.compile(r"""\.([^\W\d]\w*|'(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*")|\[(\d+)\]""")
+
+
+def _names_a_place(document, path: str) -> bool:
+    """Whether ``path`` reaches a node of ``document``, or ends in a key that
+    an object node does not hold."""
+    if not path.startswith("$"):
+        return False
+    node, at = document, 1
+    while at < len(path):
+        step = _STEP.match(path, at)
+        if step is None:
+            return False
+        at = step.end()
+        key, index = step.groups()
+        if index is not None:
+            if not isinstance(node, list) or int(index) >= len(node):
+                return False
+            node = node[int(index)]
+            continue
+        key = ast.literal_eval(key) if key[0] in "'\"" else key
+        if not isinstance(node, dict):
+            return False
+        if key not in node:
+            return at == len(path)
+        node = node[key]
+    return True
+
+
+def test_every_reported_path_names_a_place_in_the_input():
+    """Each error ``load_corpus`` lists for an edited corpus, or for one with an
+    awkward key added, names a node of the document or a key missing from one."""
+    fixture = json.loads((FIXTURES / "grasp8.json").read_text())
+    checked = 0
+    for doc in [*_edited_corpora(fixture, 300), *_awkward_corpora(fixture, 10)]:
+        _, errors, _ = load_corpus(json.dumps(doc), strict=True)
+        for error in errors:
+            assert _names_a_place(doc, error.path), str(error)
+        checked += len(errors)
+    assert checked > 300
 
 
 def test_edited_corpora_that_validate_never_break_the_cli(capsys, tmp_path):

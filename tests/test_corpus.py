@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 import os
+import pickle
 import random
 import shutil
 import subprocess
@@ -478,9 +480,81 @@ class TestOneFaultOneError:
         data = json.dumps(doc).encode()
         corpus, errors, _ = load_corpus(data, strict=True)
         assert corpus is None
-        assert [str(e).split(": ")[0] for e in errors] == [f"$.{where}[{index}].{field}"]
+        assert [e.path for e in errors] == [f"$.{where}[{index}].{field}"]
         corpus, errors, warnings = load_corpus(data, strict=False)
         assert len(errors) == 1 and warnings == []
+
+
+class TestErrorFields:
+    """A rejection carries its path and its detail as fields; ``str`` joins them."""
+
+    def test_str_joins_path_and_detail(self):
+        error = SchemaError("$.tools[0].year", "expected an integer, got str")
+        assert (error.path, error.detail) == ("$.tools[0].year", "expected an integer, got str")
+        assert str(error) == "$.tools[0].year: expected an integer, got str"
+        assert str(CorpusSyntaxError("", "not valid UTF-8")) == "not valid UTF-8"
+
+    def test_error_survives_copy_and_pickle(self):
+        error = DanglingReferenceError("$.studies[3].tool_id", "no tool with id 'ghost'")
+        for clone in (copy.copy(error), pickle.loads(pickle.dumps(error))):
+            assert type(clone) is DanglingReferenceError
+            assert (clone.path, clone.detail, str(clone)) == (error.path, error.detail, str(error))
+
+    def test_fault_of_the_whole_input_has_no_path(self):
+        _, errors, _ = load_corpus(b'{"schema_version": ')
+        assert errors[0].path == "" and str(errors[0]) == errors[0].detail
+
+    @pytest.mark.parametrize("key, shown", [
+        ("a.b", "'a.b'"), ("x[0]", "'x[0]'"), ("", "''"), ("k: v", "'k: v'"),
+        ("'q'", '"\'q\'"'), ("\u00e9", "\u00e9"), ("tab\there", "'tab\\there'"),
+    ])
+    def test_a_key_that_is_not_an_identifier_shows_as_its_repr(self, corpus8_bytes, key, shown):
+        doc = _doc(corpus8_bytes)
+        doc["tools"][7][key] = 1
+        _, errors, _ = load_corpus(json.dumps(doc))
+        assert [str(e) for e in errors] == [f"$.tools[7].{shown}: unknown field"]
+        assert errors[0].path == f"$.tools[7].{shown}"
+        _, _, warnings = load_corpus(json.dumps(doc), strict=False)
+        assert warnings == [f"$.tools[7].{shown}: unknown field ignored"]
+
+    def test_metadata_development_record_after_implementation(self, corpus8_bytes):
+        # studies[0] is centor-s1, a development study at C3.
+        data = _mutate_study(corpus8_bytes, 0, level=None, phase="after_implementation")
+        _, errors, _ = load_corpus(data)
+        assert [(type(e), e.path, e.detail) for e in errors] == [(
+            ConsistencyError, "$.studies[0].phase",
+            "metadata-only development record must be 'before_implementation',"
+            " got 'after_implementation'",
+        )]
+        assert str(errors[0]) == (
+            "$.studies[0].phase: metadata-only development record must be"
+            " 'before_implementation', got 'after_implementation'"
+        )
+
+    def test_impact_subtype_on_a_usability_study(self, corpus8_bytes):
+        # studies[3] is centor-s4, a usability study at B3.
+        data = _mutate_study(corpus8_bytes, 3, impact_subtype="experimental")
+        _, errors, _ = load_corpus(data)
+        assert [(type(e), e.path, e.detail) for e in errors] == [(
+            ConsistencyError, "$.studies[3].impact_subtype",
+            "only valid for post_implementation_impact studies",
+        )]
+        assert str(errors[0]) == (
+            "$.studies[3].impact_subtype: only valid for post_implementation_impact studies"
+        )
+
+    @pytest.mark.parametrize("parse, sheet, path, detail", [
+        (parse_rater_sheet, b"tool_id,grade\n,A1\n", "rater sheet: line 2", "empty tool_id"),
+        (parse_survey_sheet, b"question_id,response\n ,3\n", "survey sheet: line 2",
+         "empty question_id"),
+        (parse_rater_sheet, b"tool,grade\nottawa,A1\n", "rater sheet",
+         "header row must be 'tool_id,grade'"),
+    ], ids=["empty-tool-id", "empty-question-id", "bad-header"])
+    def test_sheet_rejection_names_its_line(self, parse, sheet, path, detail):
+        with pytest.raises(SchemaError) as err:
+            parse(sheet)
+        assert (err.value.path, err.value.detail) == (path, detail)
+        assert str(err.value) == f"{path}: {detail}"
 
 
 class TestFieldOrder:

@@ -250,6 +250,14 @@ class TestEvidenceSummary:
         rows = [line for line in report.splitlines() if line.startswith("| ")]
         assert len(rows) == 2
 
+    def test_generated_stamp_follows_the_title(self):
+        record = make_study("s001", GradeLevel.C3, P)
+        rows = [(record, appraise_study(record, POLICY))]
+        stamp = "2026-01-01T00:00:00+00:00"
+        report = render_evidence_summary(rows, ReportFormat.MARKDOWN_TABLE4, generated_at=stamp)
+        assert report.splitlines()[:4] == ["# Evidence Summary", "", f"Generated: {stamp}", ""]
+        assert report.replace(f"Generated: {stamp}\n\n", "") == render_evidence_summary(rows)
+
     def test_structured_mirrors_corpus_conventions(self, corpus8):
         records = list(corpus8.studies_for("taylor"))
         rows = [(s, appraise_study(s, POLICY)) for s in records]
