@@ -18,15 +18,14 @@ __version__ = "1.0.0"
 _EXPORTS = {
     "corpus": ("Corpus", "emit_corpus", "load_corpus", "parse_corpus", "parse_rater_sheet",
                "parse_survey_sheet"),
-    "engine": ("AppraisalPolicy", "MatchingRule", "QualityRule", "StudyAppraisal", "TieFallback",
-               "ToolIndices", "aggregate_bucket", "appraise_study", "assign_grade",
-               "compute_indices", "derive_b1", "mixed_protocol", "resolve_matching",
-               "resolve_quality"),
+    "engine": ("aggregate_bucket", "appraise_study", "assign_grade", "compute_indices", "derive_b1",
+               "mixed_protocol", "resolve_matching", "resolve_quality"),
     "errors": ("GraspError",),
-    "model": ("Adjudication", "BucketDirection", "EvidenceBucket", "EvidenceClass", "GradeLevel",
-              "GradeResult", "MatchingVerdict", "Phase", "QualityVerdict", "RaterComparison",
-              "StrengthVerdict", "StudyDirection", "StudyRecord", "StudyType", "ToolProfile",
-              "ordinal_rank"),
+    "model": ("Adjudication", "AppraisalPolicy", "BucketDirection", "EvidenceBucket",
+              "EvidenceClass", "GradeLevel", "GradeResult", "MatchingRule", "MatchingVerdict",
+              "Phase", "QualityRule", "QualityVerdict", "RaterComparison", "StrengthVerdict",
+              "StudyAppraisal", "StudyDirection", "StudyRecord", "StudyType", "TieFallback",
+              "ToolIndices", "ToolProfile", "ordinal_rank"),
     "report": ("ReportFormat", "render_detailed_report", "render_evidence_summary"),
     "stats": ("AgreementLabel", "LikertSummary", "agreement_label", "compare_raters",
               "likert_mean", "overall_summary", "permutation_p", "spearman_rho",

@@ -21,9 +21,9 @@ from pathlib import Path
 from typing import Iterator, Optional, Sequence, Union
 
 from . import corpus as corpus_io
-from .engine import AppraisalPolicy, appraise_study, assign_grade, compute_indices
+from .engine import appraise_study, assign_grade, compute_indices
 from .errors import ConsistencyError, GraspError
-from .model import GradeResult, ToolProfile
+from .model import AppraisalPolicy, GradeResult, ToolProfile
 from .report import ReportFormat, grade_to_obj, render_detailed_report, render_evidence_summary
 
 
@@ -90,8 +90,8 @@ def _grading_parser() -> argparse.ArgumentParser:
 
 def _grade_selected(
     args: argparse.Namespace,
-) -> tuple[corpus_io.Corpus, AppraisalPolicy, list[tuple[ToolProfile, GradeResult]]]:
-    """Load the corpus and grade every tool, or only ``--tool``."""
+) -> tuple[corpus_io.Corpus, list[tuple[ToolProfile, GradeResult]]]:
+    """Load the corpus, grade every tool (or only ``--tool``), then warn of each review flag."""
     corpus = corpus_io.parse_corpus(_read(args.corpus), strict=args.strict, on_warning=_warn)
     # Precedence: flag > corpus-embedded > default.
     flags = {f.name: type(f.default)(getattr(args, f.name))
@@ -99,7 +99,10 @@ def _grade_selected(
     policy = replace(corpus.policy, **flags)
     tools = corpus.tools if args.tool is None else (corpus.tool(args.tool),)
     graded = [(tool, assign_grade(tool, corpus.studies_for(tool.id), policy)) for tool in tools]
-    return corpus, policy, graded
+    for _, result in graded:
+        if result.needs_review:
+            _warn(f"{result.tool_id}: grade needs review ({result.justification})")
+    return corpus, graded
 
 
 def _grade_line(result: GradeResult) -> str:
@@ -117,7 +120,6 @@ def _grade_line(result: GradeResult) -> str:
 def _documents(
     args: argparse.Namespace,
     corpus: corpus_io.Corpus,
-    policy: AppraisalPolicy,
     graded: list[tuple[ToolProfile, GradeResult]],
 ) -> Iterator[tuple[ToolProfile, Union[str, dict]]]:
     """Yield each graded tool's document: its detailed report and, with
@@ -135,7 +137,8 @@ def _documents(
         if not args.summary:
             yield tool, report
             continue
-        rows = [(s, appraise_study(s, policy)) for s in corpus.studies_for(tool.id) if s.is_gradable]
+        rows = [(s, appraise_study(s, result.policy))
+                for s in corpus.studies_for(tool.id) if s.is_gradable]
         summary = render_evidence_summary(rows, layout, generated_at=stamp)
         if layout is ReportFormat.STRUCTURED:
             yield tool, {"report": report, "evidence_summary": summary}
@@ -146,14 +149,13 @@ def _documents(
 def _write_reports(
     args: argparse.Namespace,
     corpus: corpus_io.Corpus,
-    policy: AppraisalPolicy,
     graded: list[tuple[ToolProfile, GradeResult]],
 ) -> None:
     directory, layout = Path(args.out), ReportFormat(args.layout)
     suffix = ".json" if layout is ReportFormat.STRUCTURED else ".md"
     # Every document is built before anything is written.
     files = []
-    for tool, document in _documents(args, corpus, policy, graded):
+    for tool, document in _documents(args, corpus, graded):
         if layout is ReportFormat.STRUCTURED:
             document = json.dumps(document, indent=2, ensure_ascii=False) + "\n"
         files.append((directory / f"{tool.id}{suffix}", document))
@@ -175,26 +177,23 @@ def _write_atomically(path: Path, text: str) -> None:
 
 
 def _cmd_grade(args: argparse.Namespace) -> int:
-    corpus, policy, graded = _grade_selected(args)
+    corpus, graded = _grade_selected(args)
     if args.format == "structured":
         print(json.dumps([grade_to_obj(r) for _, r in graded], indent=2))
     else:
         for _, result in graded:
             print(_grade_line(result))
-    for _, result in graded:
-        if result.needs_review:
-            _warn(f"{result.tool_id}: grade needs review ({result.justification})")
     if args.out:
-        _write_reports(args, corpus, policy, graded)
+        _write_reports(args, corpus, graded)
     return ExitStatus.OK
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    corpus, policy, graded = _grade_selected(args)
+    corpus, graded = _grade_selected(args)
     if args.out:
-        _write_reports(args, corpus, policy, graded)
+        _write_reports(args, corpus, graded)
         return ExitStatus.OK
-    documents = [document for _, document in _documents(args, corpus, policy, graded)]
+    documents = [document for _, document in _documents(args, corpus, graded)]
     if ReportFormat(args.layout) is ReportFormat.STRUCTURED:
         print(json.dumps(documents if args.tool is None else documents[0], indent=2))
     else:

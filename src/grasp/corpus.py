@@ -24,7 +24,6 @@ from functools import cache, cached_property
 from operator import attrgetter
 from typing import AbstractSet, Any, Callable, ClassVar, Mapping, Optional, Sequence
 
-from .engine import AppraisalPolicy
 from .errors import (
     ConsistencyError,
     CorpusError,
@@ -41,6 +40,7 @@ from .model import (
     LEVELS_BY_STUDY_TYPE,
     MATCHING_FIELD_KEYS,
     QUALITY_FIELD_KEYS,
+    AppraisalPolicy,
     Automation,
     GradeLevel,
     ImpactSubtype,
@@ -475,7 +475,7 @@ def _cross_checks(
     for path, tool in tools:
         if tool.id in seen_tools:
             sink.errors.append(SchemaError(
-                f"{path}.id", f"duplicate tool id '{tool.id}' (also at {seen_tools[tool.id]})"
+                f"{path}.id", f"duplicate tool id {tool.id!r} (also at {seen_tools[tool.id]})"
             ))
         seen_tools[tool.id] = path
 
@@ -503,14 +503,14 @@ def _cross_checks(
             for path, study in external:
                 if study.level is not derived:
                     sink.errors.append(ConsistencyError(
-                        f"{path}.level", f"tool '{tool.id}' has {len(external)} external"
+                        f"{path}.level", f"tool {tool.id!r} has {len(external)} external"
                         f" validation(s), so the level must be {derived.value},"
                         f" got {study.level.value}"
                     ))
         if tool.studies_count != len(attached):
             sink.tolerable(ConsistencyError(
                 f"{tool_path}.studies_count", f"declared {tool.studies_count} but"
-                f" {len(attached)} study records reference '{tool.id}'"
+                f" {len(attached)} study records reference {tool.id!r}"
             ))
 
 

@@ -13,8 +13,6 @@ tools in parallel needs no coordination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -26,67 +24,28 @@ from .errors import (
     UnresolvableQuality,
 )
 from .model import (
-    ADJUDICATION_STEPS,
     MATCHING_FIELD_KEYS,
     Adjudication,
+    AppraisalPolicy,
     BucketDirection,
     EvidenceBucket,
     EvidenceClass,
     GradeLevel,
     GradeResult,
+    MatchingRule,
     MatchingVerdict,
+    QualityRule,
     QualityVerdict,
-    StrengthVerdict,
+    StudyAppraisal,
     StudyDirection,
     StudyRecord,
     StudyType,
+    TieFallback,
+    ToolIndices,
     ToolProfile,
     external_validation_level,
     ordinal_rank,
 )
-
-
-class MatchingRule(Enum):
-    """How per-field matching flags resolve to a verdict."""
-
-    STRICT_ALL = "strict_all"
-    IGNORE_MISSING = "ignore_missing"
-
-
-class QualityRule(Enum):
-    """How a quality verdict is obtained when no override is recorded."""
-
-    OVERRIDE_ONLY = "override_only"
-    MAJORITY_OF_FLAGS = "majority_of_flags"
-
-
-class TieFallback(Enum):
-    """Behaviour when the adjudication cascade ties at every step."""
-
-    CONSERVATIVE_NEGATIVE = "conservative_negative"
-    FAIL_WITH_REVIEW_FLAG = "fail_with_review_flag"
-
-
-@dataclass(frozen=True)
-class AppraisalPolicy:
-    """Settings that parameterise one grading run.
-
-    The policy is fixed for a run and its fingerprint is recorded in every
-    grade justification. Every field is a rule enum whose default is a member
-    of it; the corpus ``policy`` block and the CLI's policy flags derive from that.
-    """
-
-    matching_rule: MatchingRule = MatchingRule.STRICT_ALL
-    quality_rule: QualityRule = QualityRule.OVERRIDE_ONLY
-    tie_fallback: TieFallback = TieFallback.CONSERVATIVE_NEGATIVE
-
-    def fingerprint(self) -> str:
-        return (
-            f"matching={self.matching_rule.value}"
-            f" quality={self.quality_rule.value}"
-            " equivocal=negative"
-            f" tie_fallback={self.tie_fallback.value}"
-        )
 
 
 def resolve_matching(record: StudyRecord, policy: AppraisalPolicy) -> MatchingVerdict:
@@ -130,33 +89,6 @@ def resolve_quality(record: StudyRecord, policy: AppraisalPolicy) -> QualityVerd
     return QualityVerdict.HIGH if trues > falses else QualityVerdict.LOW
 
 
-#: Strength and adjudication class of each (matching, quality) pair.
-_APPRAISAL_TABLE = {
-    (MatchingVerdict.MATCHING, QualityVerdict.HIGH): (StrengthVerdict.STRONG, EvidenceClass.A),
-    (MatchingVerdict.MATCHING, QualityVerdict.LOW): (StrengthVerdict.MEDIUM, EvidenceClass.B),
-    (MatchingVerdict.NON_MATCHING, QualityVerdict.HIGH): (StrengthVerdict.MEDIUM, EvidenceClass.B),
-    (MatchingVerdict.NON_MATCHING, QualityVerdict.LOW): (StrengthVerdict.WEAK, EvidenceClass.C),
-}
-
-
-@dataclass(frozen=True)
-class StudyAppraisal:
-    """Resolved verdicts for one study under a policy."""
-
-    matching: MatchingVerdict
-    quality: QualityVerdict
-
-    @property
-    def strength(self) -> StrengthVerdict:
-        """Strong for matching high-quality evidence, weak for non-matching low-quality, medium between."""
-        return _APPRAISAL_TABLE[(self.matching, self.quality)][0]
-
-    @property
-    def evidence_class(self) -> EvidenceClass:
-        """Adjudication class: the strength table with A/B/C in place of strong/medium/weak."""
-        return _APPRAISAL_TABLE[(self.matching, self.quality)][1]
-
-
 def appraise_study(record: StudyRecord, policy: AppraisalPolicy) -> StudyAppraisal:
     return StudyAppraisal(resolve_matching(record, policy), resolve_quality(record, policy))
 
@@ -179,8 +111,9 @@ def mixed_protocol(
     back to the policy: conservative mixed-negative with a review flag, or an
     AdjudicationRequired error.
 
-    Returns (direction, record); the record holds the class tallies and the
-    deciding step, None when the fallback fired (the bucket then needs review).
+    Returns (direction, adjudication). The adjudication holds only the class
+    tallies; its ``step``, read off them, is None when the fallback fired (the
+    bucket then needs review).
     """
     positives = [s for s in studies if _is_positive(s.direction)]
     if not positives or len(positives) == len(studies):
@@ -191,20 +124,17 @@ def mixed_protocol(
         cls = appraise_study(record, policy).evidence_class
         tally[cls][0 if _is_positive(record.direction) else 1] += 1
 
-    undecided = Adjudication(tuple((pos, neg) for pos, neg in tally.values()), None)
-    for step in range(len(ADJUDICATION_STEPS)):
-        pos, neg = undecided.counts(step)
-        if pos != neg:
-            direction = (
-                BucketDirection.MIXED_POSITIVE if pos > neg else BucketDirection.MIXED_NEGATIVE
+    adjudication = Adjudication(tuple((pos, neg) for pos, neg in tally.values()))
+    step = adjudication.step
+    if step is None:
+        if policy.tie_fallback is TieFallback.FAIL_WITH_REVIEW_FLAG:
+            raise AdjudicationRequired(
+                f"tool {tool.id!r}: mixed evidence tied at every step; manual adjudication required"
             )
-            return direction, Adjudication(undecided.tallies, step)
-
-    if policy.tie_fallback is TieFallback.FAIL_WITH_REVIEW_FLAG:
-        raise AdjudicationRequired(
-            f"tool '{tool.id}': mixed evidence tied at every step; manual adjudication required"
-        )
-    return BucketDirection.MIXED_NEGATIVE, undecided
+        return BucketDirection.MIXED_NEGATIVE, adjudication
+    pos, neg = adjudication.counts(step)
+    direction = BucketDirection.MIXED_POSITIVE if pos > neg else BucketDirection.MIXED_NEGATIVE
+    return direction, adjudication
 
 
 def aggregate_bucket(
@@ -219,11 +149,11 @@ def aggregate_bucket(
     negative or equivocal; otherwise the mixed evidence protocol decides.
     """
     if not studies:
-        raise EmptyBucket(f"tool '{tool.id}': cannot aggregate an empty study list")
+        raise EmptyBucket(f"tool {tool.id!r}: cannot aggregate an empty study list")
     if level is None:
         level = studies[0].level
     if level is None:
-        raise NoGradableEvidence(f"tool '{tool.id}': study {studies[0].id!r} has no level")
+        raise NoGradableEvidence(f"tool {tool.id!r}: study {studies[0].id!r} has no level")
     ordered = tuple(sorted(studies, key=lambda s: s.id))
 
     n_pos = sum(_is_positive(s.direction) for s in ordered)
@@ -300,28 +230,19 @@ def assign_grade(
     """Grade a tool from its study records.
 
     The result holds the tool's buckets, highest level first, and the policy
-    fingerprint; its final grade is the highest level whose bucket direction
-    is positive or mixed-positive, C0 when no bucket qualifies.
+    that graded them; its final grade is the highest level whose bucket
+    direction is positive or mixed-positive, C0 when no bucket qualifies.
     """
     foreign = [s.id for s in studies if s.tool_id != tool.id]
     if foreign:
-        raise ValueError(f"studies {foreign} do not belong to tool '{tool.id}'")
+        raise ValueError(f"studies {foreign} do not belong to tool {tool.id!r}")
 
     buckets = build_buckets(tool, studies, policy)
     if not buckets:
-        raise NoGradableEvidence(f"tool '{tool.id}': no gradable study records")
+        raise NoGradableEvidence(f"tool {tool.id!r}: no gradable study records")
 
     ordered = tuple(sorted(buckets.values(), key=lambda b: ordinal_rank(b.level), reverse=True))
-    return GradeResult(tool.id, ordered, policy.fingerprint())
-
-
-@dataclass(frozen=True)
-class ToolIndices:
-    """Bibliometric indices of a tool at a reference year."""
-
-    citation_index: float
-    publication_index: float
-    literature_index: int
+    return GradeResult(tool.id, ordered, policy)
 
 
 def compute_indices(tool: ToolProfile, reference_year: int) -> ToolIndices:

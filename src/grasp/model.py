@@ -132,6 +132,76 @@ class EvidenceClass(Enum):
     C = "C"
 
 
+class MatchingRule(Enum):
+    """How per-field matching flags resolve to a verdict."""
+
+    STRICT_ALL = "strict_all"
+    IGNORE_MISSING = "ignore_missing"
+
+
+class QualityRule(Enum):
+    """How a quality verdict is obtained when no override is recorded."""
+
+    OVERRIDE_ONLY = "override_only"
+    MAJORITY_OF_FLAGS = "majority_of_flags"
+
+
+class TieFallback(Enum):
+    """Behaviour when the adjudication cascade ties at every step."""
+
+    CONSERVATIVE_NEGATIVE = "conservative_negative"
+    FAIL_WITH_REVIEW_FLAG = "fail_with_review_flag"
+
+
+@dataclass(frozen=True)
+class AppraisalPolicy:
+    """Settings that parameterise one grading run.
+
+    The policy is fixed for a run, and every grade carries it. Every field is a
+    rule enum whose default is a member of it; the corpus ``policy`` block and
+    the CLI's policy flags derive from that.
+    """
+
+    matching_rule: MatchingRule = MatchingRule.STRICT_ALL
+    quality_rule: QualityRule = QualityRule.OVERRIDE_ONLY
+    tie_fallback: TieFallback = TieFallback.CONSERVATIVE_NEGATIVE
+
+    def fingerprint(self) -> str:
+        return (
+            f"matching={self.matching_rule.value}"
+            f" quality={self.quality_rule.value}"
+            " equivocal=negative"
+            f" tie_fallback={self.tie_fallback.value}"
+        )
+
+
+#: Strength and adjudication class of each (matching, quality) pair.
+_APPRAISAL_TABLE = {
+    (MatchingVerdict.MATCHING, QualityVerdict.HIGH): (StrengthVerdict.STRONG, EvidenceClass.A),
+    (MatchingVerdict.MATCHING, QualityVerdict.LOW): (StrengthVerdict.MEDIUM, EvidenceClass.B),
+    (MatchingVerdict.NON_MATCHING, QualityVerdict.HIGH): (StrengthVerdict.MEDIUM, EvidenceClass.B),
+    (MatchingVerdict.NON_MATCHING, QualityVerdict.LOW): (StrengthVerdict.WEAK, EvidenceClass.C),
+}
+
+
+@dataclass(frozen=True)
+class StudyAppraisal:
+    """Resolved verdicts for one study under a policy."""
+
+    matching: MatchingVerdict
+    quality: QualityVerdict
+
+    @property
+    def strength(self) -> StrengthVerdict:
+        """Strong for matching high-quality evidence, weak for non-matching low-quality, medium between."""
+        return _APPRAISAL_TABLE[(self.matching, self.quality)][0]
+
+    @property
+    def evidence_class(self) -> EvidenceClass:
+        """Adjudication class: the strength table with A/B/C in place of strong/medium/weak."""
+        return _APPRAISAL_TABLE[(self.matching, self.quality)][1]
+
+
 class ToolCategory(Enum):
     DIAGNOSTIC = "diagnostic"
     THERAPEUTIC = "therapeutic"
@@ -292,6 +362,15 @@ class ToolProfile:
 
 
 @dataclass(frozen=True)
+class ToolIndices:
+    """Bibliometric indices of a tool at a reference year."""
+
+    citation_index: float
+    publication_index: float
+    literature_index: int
+
+
+@dataclass(frozen=True)
 class StudyRecord:
     """One published study about a tool, encoded as an evidence-summary row.
 
@@ -334,20 +413,27 @@ class Adjudication(NamedTuple):
     """How the mixed-evidence cascade decided one bucket.
 
     ``tallies`` holds the (positive, negative-or-equivocal) study counts of
-    classes A, B and C. ``step`` indexes the ADJUDICATION_STEPS entry whose
-    strict majority decided; it is None for a tie at every step, which is
-    exactly when the tie fallback fired. A named tuple rather than a frozen
-    dataclass: every command creates this class at import, and a dataclass
-    costs about ten times as much to create.
+    classes A, B and C; the deciding ``step`` is read off them. A named tuple
+    rather than a frozen dataclass: every command creates this class at
+    import, and a dataclass costs about ten times as much to create.
     """
 
     tallies: tuple[tuple[int, int], ...]
-    step: Optional[int]
 
     def counts(self, step: int) -> tuple[int, int]:
         """(positive, negative-or-equivocal) over the classes one step compares."""
         compared = self.tallies[: ADJUDICATION_STEPS[step][1]]
         return sum(pos for pos, _ in compared), sum(neg for _, neg in compared)
+
+    @property
+    def step(self) -> Optional[int]:
+        """Index of the first ADJUDICATION_STEPS entry with a strict majority;
+        None for a tie at every step, which is exactly when the tie fallback fires."""
+        for step in range(len(ADJUDICATION_STEPS)):
+            pos, neg = self.counts(step)
+            if pos != neg:
+                return step
+        return None
 
 
 @dataclass(frozen=True)
@@ -409,7 +495,7 @@ class EvidenceBucket:
 @dataclass(frozen=True)
 class GradeResult:
     """Outcome of grading one tool: its buckets, highest level first, and the
-    fingerprint of the appraisal policy that built them.
+    appraisal policy that built them.
 
     Every other view of the grade is read off the buckets. The supporting
     bucket is the first whose direction qualifies and sets the final grade
@@ -419,7 +505,7 @@ class GradeResult:
 
     tool_id: str
     all_buckets: tuple[EvidenceBucket, ...]
-    policy: str
+    policy: AppraisalPolicy
 
     @property
     def supporting_bucket(self) -> Optional[EvidenceBucket]:
@@ -482,7 +568,7 @@ class GradeResult:
             ]
             if failed:
                 parts.append(f"higher levels not qualifying: {failed}")
-        parts.append(f"policy[{self.policy}]")
+        parts.append(f"policy[{self.policy.fingerprint()}]")
         return "; ".join(parts)
 
 

@@ -14,7 +14,6 @@ from enum import Enum
 from typing import Mapping, Optional, Sequence, Union
 
 from .corpus import study_to_obj, tool_to_obj
-from .engine import StudyAppraisal, ToolIndices
 from .errors import FormatUnsupported
 from .model import (
     MATCHING_FIELD_KEYS,
@@ -28,9 +27,11 @@ from .model import (
     OutcomeLabel,
     QualityVerdict,
     StrengthVerdict,
+    StudyAppraisal,
     StudyDirection,
     StudyRecord,
     StudyType,
+    ToolIndices,
     ToolProfile,
 )
 
@@ -241,13 +242,6 @@ def _ladder_rows(result: GradeResult, ladder) -> list[str]:
     return rows
 
 
-def _stamp_lines(generated_at: Optional[str], policy: str) -> list[str]:
-    lines = [f"Policy: {policy}"]
-    if generated_at:
-        lines.append(f"Generated: {generated_at}")
-    return lines
-
-
 def _markdown_detailed(
     tool: ToolProfile,
     result: GradeResult,
@@ -256,8 +250,9 @@ def _markdown_detailed(
     generated_at: Optional[str],
 ) -> str:
     title, fields, ladder, results = layout
-    lines = [f"# {title}: {_one_line(tool.name)}", ""]
-    lines += _stamp_lines(generated_at, result.policy)
+    lines = [f"# {title}: {_one_line(tool.name)}", "", f"Policy: {result.policy.fingerprint()}"]
+    if generated_at:
+        lines.append(f"Generated: {generated_at}")
     lines += ["", "| Field | Value |", "| --- | --- |"]
     lines += [_row_cells(label, cell(tool, indices)) for label, cell in fields]
     lines.append("")
@@ -305,7 +300,7 @@ def _structured_detailed(
             "publication_index": indices.publication_index,
             "literature_index": indices.literature_index,
         },
-        "policy": result.policy,
+        "policy": result.policy.fingerprint(),
         "generated_at": generated_at,
     }
 

@@ -456,6 +456,29 @@ class TestReportCommand:
         _, stamped, _ = run(capsys, "report", CORPUS, "--tool", "taylor", "--stamp")
         assert "Generated:" in stamped
 
+    @pytest.mark.parametrize("argv", [
+        ("grade",), ("report",), ("report", "--summary"), ("report", "--layout", "structured"),
+    ], ids=["grade", "report", "report-summary", "report-structured"])
+    @pytest.mark.parametrize("to_files", [False, True], ids=["stdout", "out-dir"])
+    def test_review_flagged_grade_warns(self, capsys, tmp_path, argv, to_files):
+        # centor-s6 as a class-A study ties centor's A1 bucket one positive to
+        # one negative, so the conservative fallback flags the grade for review.
+        doc = json.loads((FIXTURES / "grasp8.json").read_text())
+        study = next(s for s in doc["studies"] if s["id"] == "centor-s6")
+        study.update(matching_override="matching", quality_override="high")
+        path = tmp_path / "review.json"
+        path.write_text(json.dumps(doc))
+        out_flag = ("--report" if argv[0] == "grade" else "--out", str(tmp_path / "out"))
+        code, _, err = run(capsys, argv[0], str(path), "--tool", "centor", *argv[1:],
+                           *(out_flag if to_files else ()))
+        assert code == 0
+        assert err.splitlines() == [
+            "warning: centor: grade needs review (final grade B3: positive evidence at B3"
+            " (usability testing reported); higher levels not qualifying: A1 mixed_negative;"
+            " policy[matching=strict_all quality=override_only equivocal=negative"
+            " tie_fallback=conservative_negative])"
+        ]
+
 
 class TestReportFailures:
     @pytest.mark.parametrize("flags, cause", [

@@ -517,6 +517,26 @@ class TestErrorFields:
         _, _, warnings = load_corpus(json.dumps(doc), strict=False)
         assert warnings == [f"$.tools[7].{shown}: unknown field ignored"]
 
+    def test_cross_checks_quote_the_tool_id(self, corpus8_bytes):
+        # An id holding a quote is shown as its repr, so it reads back as one id.
+        doc = _doc(corpus8_bytes)
+        doc["tools"][4]["id"] = "o'brien"  # manuck: studies[16] and the external studies[17]
+        for study in doc["studies"]:
+            if study["tool_id"] == "manuck":
+                study["tool_id"] = "o'brien"
+        _, errors, _ = load_corpus(json.dumps({**doc, "tools": [*doc["tools"], doc["tools"][4]]}))
+        assert [(e.path, e.detail) for e in errors] == [
+            ("$.tools[8].id", 'duplicate tool id "o\'brien" (also at $.tools[4])'),
+        ]
+        doc["tools"][4]["studies_count"] = 3
+        doc["studies"][17]["level"] = "C1"
+        _, errors, _ = load_corpus(json.dumps(doc))
+        assert [(e.path, e.detail) for e in errors] == [
+            ("$.studies[17].level", 'tool "o\'brien" has 1 external validation(s),'
+             " so the level must be C2, got C1"),
+            ("$.tools[4].studies_count", 'declared 3 but 2 study records reference "o\'brien"'),
+        ]
+
     def test_metadata_development_record_after_implementation(self, corpus8_bytes):
         # studies[0] is centor-s1, a development study at C3.
         data = _mutate_study(corpus8_bytes, 0, level=None, phase="after_implementation")

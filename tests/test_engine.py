@@ -529,10 +529,42 @@ def test_appraise_study_consistent_with_parts():
 
 
 def test_result_carries_policy_fingerprint():
+    # The result holds the policy itself; its fingerprint is rendered from it.
     policy = AppraisalPolicy(tie_fallback=TieFallback.FAIL_WITH_REVIEW_FLAG)
     result = assign_grade(TOOL, [make_study("s000", GradeLevel.C3, P)], policy)
-    assert result.policy == policy.fingerprint()
+    assert result.policy is policy
+    assert result.policy.tie_fallback is TieFallback.FAIL_WITH_REVIEW_FLAG
     assert result.justification.endswith(f"policy[{policy.fingerprint()}]")
+
+
+class TestToolIdsQuotedInMessages:
+    """A tool id is shown as its ``repr``, so an id holding a quote reads back as one id."""
+
+    TOOL = make_tool("o'brien")
+
+    def test_no_gradable_evidence(self):
+        with pytest.raises(NoGradableEvidence) as info:
+            assign_grade(self.TOOL, [])
+        assert str(info.value) == 'tool "o\'brien": no gradable study records'
+
+    def test_study_without_level(self):
+        with pytest.raises(NoGradableEvidence) as info:
+            aggregate_bucket([make_study("s000", None, P, tool_id="o'brien")], self.TOOL, DEFAULT)
+        assert str(info.value) == 'tool "o\'brien": study \'s000\' has no level'
+
+    def test_empty_bucket(self):
+        with pytest.raises(EmptyBucket, match='^tool "o\'brien": '):
+            aggregate_bucket([], self.TOOL, DEFAULT)
+
+    def test_full_tie_under_the_failing_policy(self):
+        pairs = [(EvidenceClass.A, P), (EvidenceClass.A, N)]
+        studies = make_bucket_studies(GradeLevel.A2, pairs, tool_id="o'brien")
+        with pytest.raises(AdjudicationRequired, match='^tool "o\'brien": mixed evidence tied'):
+            mixed_protocol(studies, self.TOOL, FAILING)
+
+    def test_foreign_study(self):
+        with pytest.raises(ValueError, match="""do not belong to tool "o'brien"$"""):
+            assign_grade(self.TOOL, [make_study("s000", GradeLevel.C3, P)])
 
 
 def test_monotonicity_spot_check():

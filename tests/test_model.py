@@ -7,6 +7,7 @@ from grasp.model import (
     LEVELS_BY_STUDY_TYPE,
     MATCHING_FIELD_KEYS,
     QUALITY_FIELD_KEYS,
+    Adjudication,
     BucketDirection,
     GradeLevel,
     ImpactSubtype,
@@ -111,3 +112,12 @@ def test_direction_and_field_key_inventories():
     assert len(MATCHING_FIELD_KEYS) == 7
     assert len(QUALITY_FIELD_KEYS) == 5
     assert len(set(MATCHING_FIELD_KEYS) | set(QUALITY_FIELD_KEYS)) == 12
+
+
+def test_adjudication_holds_only_its_tallies():
+    # The deciding step is read off the tallies, so it cannot disagree with them.
+    assert Adjudication._fields == ("tallies",)
+    assert Adjudication(((1, 0), (0, 3), (0, 0))).step == 0
+    assert Adjudication(((1, 1), (0, 1), (5, 0))).step == 1
+    assert Adjudication(((0, 0), (1, 1), (0, 2))).step == 2
+    assert Adjudication(((1, 1), (0, 0), (2, 2))).step is None

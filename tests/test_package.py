@@ -1,7 +1,11 @@
 from __future__ import annotations
 
 import importlib
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -27,3 +31,27 @@ def test_all_lists_every_public_name():
     assert public == set(grasp.__all__)
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         grasp.no_such_name
+
+
+#: Value types the engine, corpus I/O and reports share; they live in ``grasp.model``.
+SHARED_TYPES = ("AppraisalPolicy", "MatchingRule", "QualityRule", "TieFallback", "StudyAppraisal",
+                "ToolIndices")
+
+
+def test_shared_value_types_live_in_the_model():
+    import grasp.engine
+    import grasp.model
+    for name in SHARED_TYPES:
+        assert getattr(grasp.model, name).__module__ == "grasp.model"
+        assert getattr(grasp.engine, name) is getattr(grasp.model, name)  # old import path kept
+
+
+def test_corpus_and_report_do_not_import_the_engine():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, grasp.corpus, grasp.report; print(*sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
+    )
+    loaded = set(done.stdout.split())
+    assert {"grasp.corpus", "grasp.report", "grasp.model"} <= loaded
+    assert "grasp.engine" not in loaded
