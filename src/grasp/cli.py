@@ -223,14 +223,8 @@ def _cmd_raters(args: argparse.Namespace) -> int:
     )
     n = len(tool_ids)
     if args.format == "structured":
-        print(json.dumps({
-            "rater_a": name_a,
-            "rater_b": name_b,
-            "n": n,
-            "rho": comparison.rho,
-            "p_value": comparison.p_value,
-            "exact_agreement": comparison.exact_agreement,
-        }, indent=2))
+        print(json.dumps({"rater_a": name_a, "rater_b": name_b, "n": n, **comparison._asdict()},
+                         indent=2))
     else:
         print(
             f"rho={comparison.rho:.3f}"
@@ -245,15 +239,7 @@ def _cmd_survey(args: argparse.Namespace) -> int:
     responses = corpus_io.parse_survey_sheet(_read(args.responses))
     summaries = stats.summarize_survey(responses) + [stats.overall_summary(responses)]
     if args.format == "structured":
-        print(json.dumps([
-            {
-                "question_id": s.question_id,
-                "mean_score": s.mean_score,
-                "n": s.n,
-                "label": s.label.display,
-            }
-            for s in summaries
-        ], indent=2))
+        print(json.dumps([{**s._asdict(), "label": s.label.display} for s in summaries], indent=2))
     else:
         for summary in summaries:
             print(f"{summary.question_id}\t{summary.mean_score:.2f}\t{summary.label.display}")

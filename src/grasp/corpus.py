@@ -497,6 +497,8 @@ def _cross_checks(
         if tool.id in incomplete:
             continue
         attached = by_tool.get(tool.id, [])
+        if not any(study.is_gradable for _, study in attached):
+            sink.errors.append(ConsistencyError(tool_path, f"tool {tool.id!r} has no gradable study"))
         external = [(p, s) for p, s in attached if s.study_type is StudyType.EXTERNAL_VALIDATION]
         if external:
             derived = external_validation_level(len({s.id for _, s in external}))

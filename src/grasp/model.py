@@ -7,7 +7,11 @@ evidence. The types here are shared by the appraisal engine, corpus I/O,
 statistics, and report rendering.
 
 All values are immutable after construction and safe to share between
-concurrent tasks without coordination.
+concurrent tasks without coordination. Records the corpus decodes are frozen
+dataclasses, as their callers use the dataclass API: the decoder reads their
+``fields``, and the CLI and the benchmark harness call ``replace``. Values
+that grading and statistics compute are named tuples: a class costs a tenth
+as much to create at import, and ``_asdict`` gives a record's JSON.
 """
 
 from __future__ import annotations
@@ -184,8 +188,7 @@ _APPRAISAL_TABLE = {
 }
 
 
-@dataclass(frozen=True)
-class StudyAppraisal:
+class StudyAppraisal(NamedTuple):
     """Resolved verdicts for one study under a policy."""
 
     matching: MatchingVerdict
@@ -361,8 +364,7 @@ class ToolProfile:
     endorsement: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class ToolIndices:
+class ToolIndices(NamedTuple):
     """Bibliometric indices of a tool at a reference year."""
 
     citation_index: float
@@ -413,9 +415,7 @@ class Adjudication(NamedTuple):
     """How the mixed-evidence cascade decided one bucket.
 
     ``tallies`` holds the (positive, negative-or-equivocal) study counts of
-    classes A, B and C; the deciding ``step`` is read off them. A named tuple
-    rather than a frozen dataclass: every command creates this class at
-    import, and a dataclass costs about ten times as much to create.
+    classes A, B and C; the deciding ``step`` is read off them.
     """
 
     tallies: tuple[tuple[int, int], ...]
@@ -436,8 +436,7 @@ class Adjudication(NamedTuple):
         return None
 
 
-@dataclass(frozen=True)
-class EvidenceBucket:
+class EvidenceBucket(NamedTuple):
     """All studies of one tool at one grade level, with an aggregated direction.
 
     External-validation records are re-levelled by multiplicity before
@@ -492,8 +491,7 @@ class EvidenceBucket:
         return tuple(lines)
 
 
-@dataclass(frozen=True)
-class GradeResult:
+class GradeResult(NamedTuple):
     """Outcome of grading one tool: its buckets, highest level first, and the
     appraisal policy that built them.
 
@@ -572,8 +570,7 @@ class GradeResult:
         return "; ".join(parts)
 
 
-@dataclass(frozen=True)
-class RaterComparison:
+class RaterComparison(NamedTuple):
     """Agreement statistics of two raters' paired grades."""
 
     rho: float

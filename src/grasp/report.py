@@ -295,11 +295,7 @@ def _structured_detailed(
                 for bucket in result.all_buckets
             ],
         },
-        "indices": {
-            "citation_index": indices.citation_index,
-            "publication_index": indices.publication_index,
-            "literature_index": indices.literature_index,
-        },
+        "indices": indices._asdict(),
         "policy": result.policy.fingerprint(),
         "generated_at": generated_at,
     }

@@ -13,9 +13,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import (
     DegenerateInput,
@@ -156,8 +155,7 @@ def agreement_label(mean_score: float) -> AgreementLabel:
             return label
 
 
-@dataclass(frozen=True)
-class LikertSummary:
+class LikertSummary(NamedTuple):
     """Aggregated responses to one survey question."""
 
     question_id: str

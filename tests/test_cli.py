@@ -310,6 +310,22 @@ class TestValidate:
         assert "ghost" in err and ".year" in err
         assert "$.tools[1].name: duplicate field" in err
 
+    @pytest.mark.parametrize("strictness", ["--strict", "--lenient"])
+    def test_tool_without_a_gradable_study_is_rejected(self, capsys, tmp_path, strictness):
+        # A metadata-only development record is not graded, so taylor has no
+        # evidence at all; validate rejects what grade could not grade.
+        doc = json.loads((FIXTURES / "grasp8.json").read_text())
+        (study,) = [s for s in doc["studies"] if s["tool_id"] == "taylor"]
+        study["study_type"] = "development"
+        del study["level"]
+        path = tmp_path / "bare.json"
+        path.write_text(json.dumps(doc))
+        for command in ("validate", "grade"):
+            code, out, err = run(capsys, command, strictness, str(path))
+            assert (code, out) == (1, "")
+            prefix = "ConsistencyError: " if command == "validate" else "error: "
+            assert err == f"{prefix}$.tools[7]: tool 'taylor' has no gradable study\n"
+
     @pytest.mark.parametrize("tool_id, message", [
         ("a|b\nc", r"tool id 'a|b\nc' holds a non-printable character"),
         ("a|b\tc", r"tool id 'a|b\tc' holds a non-printable character"),
@@ -749,8 +765,9 @@ def test_every_reported_path_names_a_place_in_the_input():
 
 def test_edited_corpora_that_validate_never_break_the_cli(capsys, tmp_path):
     """A corpus ``validate --strict`` accepts is graded or rejected (exit 0 or
-    1) by every command; structured output parses as JSON, and each ``grade``
-    line starts with one of the corpus's tool ids and a grade token."""
+    1) by every command, and never for a tool without a gradable study;
+    structured output parses as JSON, and each ``grade`` line starts with one
+    of the corpus's tool ids and a grade token."""
     fixture = json.loads((FIXTURES / "grasp8.json").read_text())
     grades = {level.value for level in grasp.GradeLevel}
     path = tmp_path / "edited.json"
@@ -765,6 +782,7 @@ def test_edited_corpora_that_validate_never_break_the_cli(capsys, tmp_path):
         tool_ids = {tool["id"] for tool in doc["tools"]}
         code, out, err = run(capsys, "grade", str(path))
         assert code in (0, 1), err
+        assert "no gradable study" not in err
         for line in out.splitlines():
             tool_id, grade, _ = line.split(" ", 2)
             assert tool_id in tool_ids and grade in grades, line
@@ -772,6 +790,7 @@ def test_edited_corpora_that_validate_never_break_the_cli(capsys, tmp_path):
                      ("report", "--summary", "--layout", "structured")):
             code, out, err = run(capsys, *argv, str(path))
             assert code in (0, 1), f"{argv}: exit {code}: {err}"
+            assert "no gradable study" not in err, argv
             if code == 0:
                 json.loads(out)
     assert accepted > 0

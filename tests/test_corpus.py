@@ -635,7 +635,9 @@ class TestEmit:
         doc = _doc(emitted)
         assert doc["studies"] == []
         assert doc["tools"][0]["id"] == "taylor"
-        assert parse_corpus(emitted).tools[0].studies_count == 0
+        # Emitting is total, but a tool with nothing to grade does not load.
+        with pytest.raises(ConsistencyError, match=r"^\$\.tools\[0\]: tool 'taylor' has no gradable study$"):
+            parse_corpus(emitted)
 
     def test_non_finite_number_is_not_emitted(self, corpus8):
         # A corpus built in code bypasses the parser's finiteness check.

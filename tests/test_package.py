@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import os
 import subprocess
@@ -55,3 +56,20 @@ def test_corpus_and_report_do_not_import_the_engine():
     loaded = set(done.stdout.split())
     assert {"grasp.corpus", "grasp.report", "grasp.model"} <= loaded
     assert "grasp.engine" not in loaded
+
+
+#: Records the corpus decodes: callers use the dataclass API on them (``fields``, ``replace``).
+DECODED_RECORDS = ("ToolProfile", "StudyRecord", "AppraisalPolicy", "Corpus")
+#: Values grading and statistics compute: named tuples.
+COMPUTED_VALUES = ("StudyAppraisal", "ToolIndices", "Adjudication", "EvidenceBucket", "GradeResult",
+                   "RaterComparison", "LikertSummary")
+
+
+def test_decoded_records_are_dataclasses_and_computed_values_are_named_tuples():
+    for name in DECODED_RECORDS:
+        record = getattr(grasp, name)
+        assert dataclasses.is_dataclass(record) and record.__dataclass_params__.frozen, name
+    for name in COMPUTED_VALUES:
+        value = getattr(grasp, name)
+        assert issubclass(value, tuple) and value._fields, name
+        assert not dataclasses.is_dataclass(value), name
