@@ -5,6 +5,9 @@ A corpus is a UTF-8 JSON document with top-level keys ``schema_version``,
 lowercase tokens (grade levels as ``"C1"``-style tokens); every token decodes
 case-insensitively, ignoring surrounding whitespace. A record's fields are
 checked in canonical key order, and the first bad field is the one reported.
+A list of tools or studies whose every key passes its checks across all the
+records at once is built in bulk; any other list is decoded record by record,
+so its errors and warnings read as before.
 Canonical form fixes key order, sorts tools and studies by id, and indents
 with two spaces, so emitting is a fixed point and ``parse(emit(c)) == c`` for
 every valid corpus.
@@ -15,13 +18,15 @@ Rater grade sheets and survey response sheets are flat CSV files.
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import json
 import sys
 from collections import Counter
 from dataclasses import MISSING, dataclass, fields
 from functools import cache, cached_property
-from operator import attrgetter
+from itertools import chain, repeat
+from operator import attrgetter, itemgetter
 from typing import AbstractSet, Any, Callable, ClassVar, Mapping, Optional, Sequence
 
 from .errors import (
@@ -30,7 +35,7 @@ from .errors import (
     CorpusSyntaxError,
     DanglingReferenceError,
     DuplicateTool,
-    OutOfRange,
+    ResponseOutOfRange,
     SchemaError,
     UnknownGrade,
     UnknownTool,
@@ -225,30 +230,64 @@ def _check_unknown(obj: dict, allowed: AbstractSet[str], path: str, sink: _Colle
         sink.tolerable(SchemaError(f"{path}.{key}", "unknown field"), " ignored")
 
 
-# --- field codecs: a (decode, encode) pair per kind of JSON value ---
+# --- field codecs: a (decode, encode, column) triple per kind of JSON value ---
 #
 # ``decode(value, path, sink)`` returns the model value or raises a
 # CorpusError naming ``path``. ``encode(model_value)`` returns the JSON value,
 # or None to leave the key out; a None model value is never encoded.
+# ``column(values)`` decodes one key of many records, raising unless ``decode`` would accept each.
 
-_Codec = tuple[Callable[[Any, str, _Collector], Any], Callable[[Any], Any]]
+_Codec = tuple[Callable[[Any, str, _Collector], Any], Callable[[Any], Any], Callable[[list], list]]
+_ABSENT = object()  # the value of a key a record does not hold
+
+
+class _Irregular(Exception):
+    """A column that only the per-record decoder can judge."""
+
+
+def _expect(ok: bool, values: list) -> list:
+    if not ok:
+        raise _Irregular
+    return values
+
+
+def _typed(values: list, *types: type) -> list:  # exact types: a bool is no int
+    return _expect(set(map(type, values)).issubset(types), values)
+
+
+def _str_column(values: list) -> list:
+    text = "".join(_typed(values, str))
+    if not text.isascii():
+        text.encode("utf-8")  # UnicodeEncodeError on a lone surrogate, as in _as_str
+    return values
+
+
+def _bounded(values: list, low: float, *types: type) -> list:
+    # A chained comparison is False for NaN, which min() and max() would step over.
+    return _expect(all(low <= v <= sys.float_info.max for v in _typed(values, *types)), values)
+
+
+def _objects(values: list, keys: AbstractSet[str]) -> list:
+    """``values`` if each is a decoded JSON object that repeats no key and has none outside ``keys``."""
+    in_keys = all(map(keys.issuperset, _typed(values, _Object)))
+    return _expect(in_keys and not any(map(attrgetter("repeated"), values)), values)
 
 
 def _same(value: Any) -> Any:
     return value
 
 
-def _scalar(type_check: Callable[[Any, str], Any]) -> _Codec:
-    return (lambda value, path, sink: type_check(value, path)), _same
+def _scalar(type_check: Callable[[Any, str], Any], column: Callable) -> _Codec:
+    return (lambda value, path, sink: type_check(value, path)), _same, column
 
 
-def _at_least(type_check: Callable[[Any, str], Any], low: int, word: str) -> _Codec:
+def _at_least(type_check: Callable[[Any, str], Any], low: int, word: str, column: Callable) -> _Codec:
     def decode(value: Any, path: str, sink: _Collector):
         value = type_check(value, path)
         if value < low:
             raise SchemaError(path, f"must be {word}, got {value}")
         return value
-    return decode, _same
+    return decode, _same, column
 
 
 @cache
@@ -263,13 +302,17 @@ def _enum(enum_cls) -> _Codec:
             raise SchemaError(path, f"unknown token {value!r}; expected one of: {allowed}")
         return members[token]
 
-    return decode, attrgetter("value")
+    def column(values: list) -> list:
+        tokens = {token: decode(token, "", None) for token in set(_typed(values, str))}
+        return list(map(tokens.__getitem__, values))
+
+    return decode, attrgetter("value"), column
 
 
 def _enum_set(enum_cls, noun: Optional[str] = None) -> _Codec:
     """Tokens written in declaration order. With ``noun`` the set must name at
     least one member; without, an empty set is the default and is left out."""
-    decode_item, _ = _enum(enum_cls)
+    decode_item, _, item_column = _enum(enum_cls)
     order = {member: i for i, member in enumerate(enum_cls)}
 
     def decode(value: Any, path: str, sink: _Collector) -> frozenset:
@@ -285,7 +328,12 @@ def _enum_set(enum_cls, noun: Optional[str] = None) -> _Codec:
         tokens = [member.value for member in sorted(members, key=order.__getitem__)]
         return tokens if tokens or noun else None
 
-    return decode, encode
+    def column(values: list) -> list:
+        items = list(set(_typed(list(chain.from_iterable(_typed(values, list))), str)))
+        members = dict(zip(items, item_column(items)))
+        return _expect(not noun or all(values), [frozenset(map(members.__getitem__, v)) for v in values])
+
+    return decode, encode, column
 
 
 def _flags(keys: Sequence[str]) -> _Codec:
@@ -301,12 +349,19 @@ def _flags(keys: Sequence[str]) -> _Codec:
     def encode(flags: Mapping[str, bool]) -> Optional[dict[str, bool]]:
         return {key: flags[key] for key in keys if key in flags} or None
 
-    return decode, encode
+    def column(values: list) -> list:
+        _typed(list(chain.from_iterable(map(dict.values, _objects(values, allowed)))), bool)
+        if all(order == tuple(filter(order.__contains__, keys)) for order in set(map(tuple, values))):
+            return list(map(dict, values))  # each map is in canonical key order
+        return [{key: obj[key] for key in keys if key in obj} for obj in values]
+
+    return decode, encode, column
 
 
-_STR, _INT, _BOOL = _scalar(_as_str), _scalar(_as_int), _scalar(_as_bool)
-_COUNT = _at_least(_as_int, 0, "non-negative")
-_POSITIVE = _at_least(_as_int, 1, "positive")
+_STR, _BOOL = _scalar(_as_str, _str_column), _scalar(_as_bool, lambda values: _typed(values, bool))
+_INT = _scalar(_as_int, lambda values: _bounded(values, -sys.float_info.max, int))
+_COUNT = _at_least(_as_int, 0, "non-negative", lambda values: _bounded(values, 0, int))
+_POSITIVE = _at_least(_as_int, 1, "positive", lambda values: _bounded(values, 1, int))
 
 
 # --- record tables: one entry per JSON key, in canonical order ---
@@ -315,8 +370,8 @@ _POSITIVE = _at_least(_as_int, 1, "positive")
 class _Field:
     """One JSON key of a record and the model attribute it fills."""
 
-    def __init__(self, key: str, decode: Callable, encode: Callable, attr: Optional[str] = None):
-        self.key, self.decode, self.encode, self.attr = key, decode, encode, attr or key
+    def __init__(self, key: str, *codec: Callable, attr: Optional[str] = None):
+        self.key, (self.decode, self.encode, self.column), self.attr = key, codec, attr or key
 
 
 class _Table:
@@ -333,11 +388,17 @@ class _Table:
         self.plan = tuple((f.key, f.attr, f.decode, f.attr in required) for f in table_fields)
         self.encoders = tuple((f.key, f.encode) for f in table_fields)
         self.values = attrgetter(*(f.attr for f in table_fields))
+        # In attribute order, as __init__ fills __dict__; a required key's default is None.
+        by_attr = {f.attr: f for f in table_fields}
+        self.attrs = tuple(f.name for f in fields(model))
+        self.columns = tuple((by_attr[f.name].key, by_attr[f.name].column, None if f.name in required
+                              else f.default_factory if f.default is MISSING else (lambda d=f.default: d))
+                             for f in fields(model))
 
 
 _TOOL_TABLE = _Table(
     ToolProfile,
-    _Field("id", *_scalar(_as_tool_id)),
+    _Field("id", *_scalar(_as_tool_id, lambda values: [_as_tool_id(v, "") for v in values])),
     _Field("name", *_STR),
     _Field("author", *_STR),
     _Field("country", *_STR),
@@ -362,7 +423,8 @@ _TOOL_TABLE = _Table(
     _Field("authors_count", *_POSITIVE),
     _Field("sample_size", *_POSITIVE),
     _Field("journal_name", *_STR),
-    _Field("journal_rank", *_at_least(_as_number, 0, "non-negative")),
+    _Field("journal_rank", *_at_least(_as_number, 0, "non-negative",
+                                      lambda values: list(map(float, _bounded(values, 0, int, float))))),
 )
 
 _STUDY_TABLE = _Table(
@@ -405,6 +467,28 @@ def _decode_record(value: Any, path: str, table: _Table, sink: _Collector):
         elif required:
             _require(obj, key, path)  # raises: the key is absent
     return table.model(**values)
+
+
+def _decode_columns(raw: list, table: _Table) -> Optional[list]:
+    """The records of ``raw``, built without ``__init__``; None if one might be rejected or warned about."""
+    try:
+        _objects(raw, table.keys)
+        columns = []
+        for key, column, default in table.columns:
+            if default is None:  # a required key; a record without it raises KeyError
+                columns.append(column(list(map(itemgetter(key), raw))))
+                continue
+            values = list(map(dict.get, raw, repeat(key), repeat(_ABSENT)))
+            present = [value for value in values if value is not _ABSENT]
+            decoded = iter(column(present))
+            columns.append(decoded if len(present) == len(values) else
+                           [default() if value is _ABSENT else next(decoded) for value in values])
+    except (_Irregular, CorpusError, KeyError, UnicodeEncodeError):
+        return None
+    records = list(map(object.__new__, repeat(table.model, len(raw))))
+    for record, row in zip(records, zip(*columns)):
+        record.__dict__.update(zip(table.attrs, row))
+    return records
 
 
 def _encode_record(table: _Table, record: Any) -> dict:
@@ -525,6 +609,16 @@ def load_corpus(
     error was recorded. Arbitrary byte input never raises, it only yields
     typed errors in the list.
     """
+    enabled = gc.isenabled()
+    gc.disable()  # decoded JSON holds no reference cycle for a collection to find
+    try:
+        return _load(data, strict)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _load(data: bytes | str, strict: bool) -> tuple[Optional[Corpus], list[CorpusError], list[str]]:
     sink = _Collector(strict)
     try:
         text = data.decode("utf-8") if isinstance(data, bytes) else data
@@ -554,20 +648,22 @@ def load_corpus(
 
     tools: list[tuple[str, ToolProfile]] = []
     unparsed: set[str] = set()
+    decoded = _decode_columns(raw_tools, _TOOL_TABLE) or [None] * len(raw_tools)
     for i, raw in enumerate(raw_tools):
         path = f"$.tools[{i}]"
         try:
-            tools.append((path, _decode_record(raw, path, _TOOL_TABLE, sink)))
+            tools.append((path, decoded[i] or _decode_record(raw, path, _TOOL_TABLE, sink)))
         except CorpusError as exc:
             sink.errors.append(exc)
             if isinstance(raw, dict) and isinstance(raw.get("id"), str):
                 unparsed.add(raw["id"])
     studies: list[tuple[str, StudyRecord]] = []
     incomplete: set[str] = set()
+    decoded = _decode_columns(raw_studies, _STUDY_TABLE) or [None] * len(raw_studies)
     for i, raw in enumerate(raw_studies):
         path = f"$.studies[{i}]"
         try:
-            study = _decode_record(raw, path, _STUDY_TABLE, sink)
+            study = decoded[i] or _decode_record(raw, path, _STUDY_TABLE, sink)
             _study_consistency(study, path)
             studies.append((path, study))
         except CorpusError as exc:
@@ -700,6 +796,6 @@ def parse_survey_sheet(data: bytes | str) -> dict[str, list[int]]:
         if question_id == "overall":
             raise SchemaError(where, "question_id 'overall' names the pooled row")
         if token not in ("1", "2", "3", "4", "5"):
-            raise OutOfRange(f"{where}: response must be an integer 1..5, got {token!r}")
+            raise ResponseOutOfRange(where, f"response must be an integer 1..5, got {token!r}")
         responses.setdefault(question_id, []).append(int(token))
     return responses

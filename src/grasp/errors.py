@@ -105,6 +105,10 @@ class DuplicateTool(CorpusError):
     """A rater sheet lists the same tool twice."""
 
 
+class ResponseOutOfRange(CorpusError, OutOfRange):
+    """A survey sheet holds a response outside the Likert range 1..5."""
+
+
 class UnknownTool(GraspError):
     """A tool id was requested that the corpus does not hold."""
 

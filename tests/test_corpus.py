@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import gc
 import json
 import os
 import pickle
@@ -9,6 +10,7 @@ import random
 import shutil
 import subprocess
 import sys
+import types
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import grasp.corpus
 from grasp.corpus import (
     _POLICY_TABLE,
     _STUDY_TABLE,
@@ -57,7 +60,8 @@ from grasp.model import (
     ToolProfile,
 )
 from conftest import FIXTURES
-from gen import random_corpus
+from gen import random_corpus, random_tool, random_tool_studies
+from test_cli import _awkward_corpora, _edited_corpora
 
 EMPTY = b'{"schema_version": "grasp-corpus/1", "tools": [], "studies": []}'
 
@@ -733,10 +737,146 @@ class TestFuzz:
                 assert reparsed == corpus and emit_corpus(reparsed) == emitted
 
 
+#: Values each key of a record takes in the bulk/per-record comparison.
+BULK_EXTREMES = (0, -1, 10**300, 10**400, -10**400, 1e308, float("nan"), "", "a|b\nc", None,
+                 True, [], {}, 2.5, " c1 ", "\u00e9t\u00e9", "\ud800")
+
+
+def _one_key_edits():
+    """The fixture with one key of one of two tools or two studies set to each extreme."""
+    fixture = json.loads(FIXTURE_TEXT)
+    pecarn = next(i for i, s in enumerate(fixture["studies"]) if s["id"] == "pecarn-s5")
+    for kind, indices, table in (("tools", (0, 6), _TOOL_TABLE), ("studies", (0, pecarn), _STUDY_TABLE)):
+        for index in indices:
+            for key in sorted(table.keys):
+                for value in BULK_EXTREMES:
+                    doc = json.loads(FIXTURE_TEXT)
+                    doc[kind][index][key] = value
+                    yield doc
+
+
+def _shuffled_keys(count: int):
+    """The fixture with the keys of every record and flag map in a seeded order."""
+    rng = random.Random(5)
+    for _ in range(count):
+        doc = json.loads(FIXTURE_TEXT)
+        for kind in ("tools", "studies"):
+            doc[kind] = [_shuffled(rng, record) for record in doc[kind]]
+            for record in doc[kind]:
+                for name in ("matching_fields", "quality_fields"):
+                    if name in record:
+                        record[name] = _shuffled(rng, record[name])
+        yield doc
+
+
+def _shuffled(rng: random.Random, obj: dict) -> dict:
+    items = list(obj.items())
+    rng.shuffle(items)
+    return dict(items)
+
+
+def _wide_corpus(seed: int, n_tools: int) -> Corpus:
+    """A corpus built as the benchmark's wide workload builds it."""
+    rng, tools, studies, counter = random.Random(seed), [], [], 0
+    for index in range(n_tools):
+        tool = random_tool(rng, index)
+        tool_studies, counter = random_tool_studies(rng, tool, counter)
+        tools.append(replace(tool, studies_count=len(tool_studies)))
+        studies.extend(tool_studies)
+    return Corpus(tools=tuple(tools), studies=tuple(studies))
+
+
+#: Inputs of the comparison, by name; each yields JSON documents.
+BULK_INPUTS = {
+    "edited": lambda: map(json.dumps, _edited_corpora(json.loads(FIXTURE_TEXT), 1500)),
+    "awkward-keys": lambda: map(json.dumps, _awkward_corpora(json.loads(FIXTURE_TEXT), 10)),
+    "one-key-extremes": lambda: map(json.dumps, _one_key_edits()),
+    "shuffled-keys": lambda: map(json.dumps, _shuffled_keys(20)),
+    "random": lambda: (emit_corpus(random_corpus(random.Random(seed), 6)) for seed in range(300)),
+    "wide": lambda: [emit_corpus(_wide_corpus(1, 400))],
+}
+
+
+def _outcome(data, strict: bool):
+    """What ``load_corpus`` returns, with each record's attributes in order
+    (a flag map's keys in order too) and each error as its type and text."""
+    corpus, errors, warnings = load_corpus(data, strict=strict)
+    records = None if corpus is None else [
+        [(attr, list(value.items()) if isinstance(value, dict) else value)
+         for attr, value in vars(record).items()]
+        for record in (*corpus.tools, *corpus.studies)
+    ]
+    return corpus, records, [(type(e).__name__, str(e)) for e in errors], warnings
+
+
+class TestBulkDecode:
+    """A list of records that passes every column check is built in bulk;
+    any other is decoded record by record. Both must give the same result."""
+
+    @pytest.mark.parametrize("source", BULK_INPUTS)
+    def test_bulk_and_per_record_decoding_agree(self, source, monkeypatch):
+        documents = list(BULK_INPUTS[source]())
+        bulk = [_outcome(data, strict) for data in documents for strict in (True, False)]
+        monkeypatch.setattr(grasp.corpus, "_decode_columns", lambda raw, table: None)
+        per_record = [_outcome(data, strict) for data in documents for strict in (True, False)]
+        assert len(bulk) == len(per_record) == 2 * len(documents)
+        for i, (got, expected) in enumerate(zip(bulk, per_record)):
+            assert got == expected, (source, i // 2)
+
+    def test_valid_corpora_take_the_bulk_path(self, monkeypatch, corpus8_bytes):
+        decode_record, tables = grasp.corpus._decode_record, []
+
+        def spy(value, path, table, sink):
+            tables.append(table)
+            return decode_record(value, path, table, sink)
+
+        monkeypatch.setattr(grasp.corpus, "_decode_record", spy)
+        for data in (corpus8_bytes, emit_corpus(random_corpus(random.Random(7), 6))):
+            corpus, errors, _ = load_corpus(data)
+            assert corpus is not None and not errors
+        assert _TOOL_TABLE not in tables and _STUDY_TABLE not in tables
+        # An explicit null is no absent key: the studies go record by record.
+        doc = _doc(corpus8_bytes)
+        doc["studies"][0]["notes"] = None
+        _, errors, _ = load_corpus(json.dumps(doc))
+        assert [str(e) for e in errors] == ["$.studies[0].notes: expected a string, got NoneType"]
+        assert tables.count(_STUDY_TABLE) == len(doc["studies"])
+        assert _TOOL_TABLE not in tables
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_load_pauses_the_collector_and_restores_its_state(enabled, monkeypatch, corpus8_bytes):
+    """Decoded JSON holds no cycle, so the cyclic collector is paused while a
+    corpus loads, and left as the caller had it however the load ends."""
+    paused = []
+
+    def loads(*args, **kwargs):
+        paused.append(not gc.isenabled())
+        return json.loads(*args, **kwargs)
+
+    monkeypatch.setattr(grasp.corpus, "json", types.SimpleNamespace(
+        loads=loads, dumps=json.dumps, JSONDecodeError=json.JSONDecodeError,
+    ))
+    rejected = b'{"schema_version": "grasp-corpus/1", "tools": [{}], "studies": []}'
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        for data, ok in ((corpus8_bytes, True), (b'{"tools": [', False), (rejected, False)):
+            corpus, errors, _ = load_corpus(data)
+            assert (corpus is not None, not errors) == (ok, ok)
+            assert gc.isenabled() is enabled
+        with pytest.raises(SchemaError):
+            parse_corpus(rejected)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert paused == [True] * 4
+
+
 class TestEnumTokens:
     @pytest.mark.parametrize("enum_cls", DECODED_ENUMS, ids=lambda cls: cls.__name__)
     def test_every_member_decodes_from_each_spelling(self, enum_cls):
-        decode, _ = _enum(enum_cls)
+        decode, *_ = _enum(enum_cls)
         for member in enum_cls:
             for token in _spellings(member.value):
                 assert decode(token, "$.x", None) is member
@@ -837,6 +977,15 @@ class TestSurveySheet:
     def test_out_of_range(self):
         with pytest.raises(OutOfRange):
             parse_survey_sheet(b"question_id,response\nq1,6\n")
+
+    def test_out_of_range_is_a_corpus_error_with_its_place(self):
+        # The blank third line still counts: the bad response is on line 4.
+        with pytest.raises(CorpusError) as err:
+            parse_survey_sheet(b"question_id,response\nq1,3\n\nq2,0\n")
+        assert isinstance(err.value, OutOfRange)
+        assert err.value.path == "survey sheet: line 4"
+        assert err.value.detail == "response must be an integer 1..5, got '0'"
+        assert str(err.value) == "survey sheet: line 4: response must be an integer 1..5, got '0'"
 
     def test_non_integer(self):
         # int() would read the Arabic-Indic digit three, a sign, a leading
