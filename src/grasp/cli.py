@@ -41,14 +41,6 @@ _POLICY_HELP = {
     "tie_fallback": "override the full-tie fallback of the mixed evidence protocol",
 }
 
-_DIRECTION_TOKENS = {
-    "positive": "Positive",
-    "negative": "Negative",
-    "mixed_positive": "MixedPositive",
-    "mixed_negative": "MixedNegative",
-}
-
-
 def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
@@ -108,10 +100,8 @@ def _grade_selected(
 def _grade_line(result: GradeResult) -> str:
     label = result.tool_label
     label = f'"{label}"' if label else "-"
-    line = (
-        f"{result.tool_id} {result.final_grade.value}"
-        f" {_DIRECTION_TOKENS[result.direction.value]} {label}"
-    )
+    direction = result.direction.value.title().replace("_", "")  # mixed_positive: MixedPositive
+    line = f"{result.tool_id} {result.final_grade.value} {direction} {label}"
     if result.needs_review:
         line += " [review]"
     return line
@@ -137,7 +127,9 @@ def _documents(
         if not args.summary:
             yield tool, report
             continue
-        rows = [(s, appraise_study(s, result.policy))
+        # Grading appraised the studies of mixed buckets; appraise only the rest.
+        appraised = {s.id: a for b in result.all_buckets for s, a in zip(b.studies, b.appraisals)}
+        rows = [(s, appraised[s.id] if s.id in appraised else appraise_study(s, result.policy))
                 for s in corpus.studies_for(tool.id) if s.is_gradable]
         summary = render_evidence_summary(rows, layout, generated_at=stamp)
         if layout is ReportFormat.STRUCTURED:

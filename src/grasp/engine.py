@@ -100,7 +100,7 @@ def _is_positive(direction: StudyDirection) -> bool:
 
 def mixed_protocol(
     studies: Sequence[StudyRecord], tool: ToolProfile, policy: AppraisalPolicy
-) -> tuple[BucketDirection, Adjudication]:
+) -> tuple[BucketDirection, Adjudication, tuple[StudyAppraisal, ...]]:
     """Adjudicate a bucket holding both positive and non-positive conclusions.
 
     Studies are partitioned into classes A/B/C by matching and quality. The
@@ -111,18 +111,19 @@ def mixed_protocol(
     back to the policy: conservative mixed-negative with a review flag, or an
     AdjudicationRequired error.
 
-    Returns (direction, adjudication). The adjudication holds only the class
-    tallies; its ``step``, read off them, is None when the fallback fired (the
-    bucket then needs review).
+    Returns (direction, adjudication, appraisals). The adjudication holds only
+    the class tallies; its ``step``, read off them, is None when the fallback
+    fired (the bucket then needs review). The appraisals are those of
+    ``studies``, in their order.
     """
     positives = [s for s in studies if _is_positive(s.direction)]
     if not positives or len(positives) == len(studies):
         raise ValueError("mixed_protocol requires both positive and non-positive studies")
 
+    appraisals = tuple(appraise_study(record, policy) for record in studies)
     tally: dict[EvidenceClass, list[int]] = {c: [0, 0] for c in EvidenceClass}
-    for record in studies:
-        cls = appraise_study(record, policy).evidence_class
-        tally[cls][0 if _is_positive(record.direction) else 1] += 1
+    for record, appraisal in zip(studies, appraisals):
+        tally[appraisal.evidence_class][0 if _is_positive(record.direction) else 1] += 1
 
     adjudication = Adjudication(tuple((pos, neg) for pos, neg in tally.values()))
     step = adjudication.step
@@ -131,10 +132,10 @@ def mixed_protocol(
             raise AdjudicationRequired(
                 f"tool {tool.id!r}: mixed evidence tied at every step; manual adjudication required"
             )
-        return BucketDirection.MIXED_NEGATIVE, adjudication
+        return BucketDirection.MIXED_NEGATIVE, adjudication, appraisals
     pos, neg = adjudication.counts(step)
     direction = BucketDirection.MIXED_POSITIVE if pos > neg else BucketDirection.MIXED_NEGATIVE
-    return direction, adjudication
+    return direction, adjudication, appraisals
 
 
 def aggregate_bucket(
@@ -146,7 +147,8 @@ def aggregate_bucket(
     """Fold the studies of one grade level into a bucket with one direction.
 
     Positive when every study is positive; negative when every study is
-    negative or equivocal; otherwise the mixed evidence protocol decides.
+    negative or equivocal; otherwise the mixed evidence protocol decides, and
+    the bucket keeps the appraisals it made.
     """
     if not studies:
         raise EmptyBucket(f"tool {tool.id!r}: cannot aggregate an empty study list")
@@ -157,15 +159,12 @@ def aggregate_bucket(
     ordered = tuple(sorted(studies, key=lambda s: s.id))
 
     n_pos = sum(_is_positive(s.direction) for s in ordered)
-    record: Optional[Adjudication] = None
     if n_pos == len(ordered):
-        direction = BucketDirection.POSITIVE
-    elif n_pos == 0:
-        direction = BucketDirection.NEGATIVE
-    else:
-        direction, record = mixed_protocol(ordered, tool, policy)
-
-    return EvidenceBucket(level=level, studies=ordered, direction=direction, adjudication=record)
+        return EvidenceBucket(level, ordered, BucketDirection.POSITIVE)
+    if n_pos == 0:
+        return EvidenceBucket(level, ordered, BucketDirection.NEGATIVE)
+    direction, record, appraisals = mixed_protocol(ordered, tool, policy)
+    return EvidenceBucket(level, ordered, direction, adjudication=record, appraisals=appraisals)
 
 
 def derive_b1(

@@ -443,7 +443,8 @@ class EvidenceBucket(NamedTuple):
     bucketing (two or more distinct studies form the C1 bucket, exactly one
     the C2 bucket). The derived B1 bucket owns no raw studies; it references
     the B2 and B3 buckets it was built from via ``sources``. A mixed bucket
-    carries the cascade's ``adjudication``; a unanimous one carries none.
+    carries the cascade's ``adjudication`` and the ``appraisals`` it read, one
+    per study in study order; a unanimous one carries None and ``()``.
     """
 
     level: GradeLevel
@@ -451,6 +452,7 @@ class EvidenceBucket(NamedTuple):
     direction: BucketDirection
     sources: tuple["EvidenceBucket", ...] = ()
     adjudication: Optional[Adjudication] = None
+    appraisals: tuple[StudyAppraisal, ...] = ()
 
     @property
     def qualifies(self) -> bool:

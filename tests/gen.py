@@ -199,3 +199,20 @@ def random_corpus(rng: random.Random, max_tools: int = 3) -> Corpus:
         studies=tuple(sorted(studies, key=lambda s: s.id)),
         policy=random_policy(rng),
     )
+
+
+def strip_overrides(rng: random.Random, corpus: Corpus) -> Corpus:
+    """Drop the appraiser overrides of a random share of studies.
+
+    Without an override, matching falls back to the study's flags (and is
+    unresolvable without any) and quality to the policy's rule (and is
+    unresolvable under override_only).
+    """
+    def strip(study: StudyRecord) -> StudyRecord:
+        roll = rng.random()
+        if roll < 0.15:
+            return replace(study, matching_override=None)
+        if roll < 0.30:
+            return replace(study, quality_override=None)
+        return study
+    return replace(corpus, studies=tuple(strip(s) for s in corpus.studies))

@@ -7,14 +7,19 @@ import random
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import grasp
+import grasp.engine
 from grasp.cli import build_parser, main
-from grasp.corpus import _STUDY_TABLE, _TOOL_TABLE, load_corpus
+from grasp.corpus import _STUDY_TABLE, _TOOL_TABLE, emit_corpus, load_corpus
+from grasp.engine import assign_grade
+from grasp.model import AppraisalPolicy
 from conftest import FIXTURES
+from gen import random_corpus
 
 CORPUS = str(FIXTURES / "grasp8.json")
 R1 = str(FIXTURES / "raters" / "r1.csv")
@@ -513,6 +518,75 @@ class TestReportFailures:
         assert code == 1
         assert cause in err
         assert not out_dir.exists() or list(out_dir.iterdir()) == []
+
+
+class TestAppraisalsPerRun:
+    """Each gradable study is appraised once per command: ``report --summary``
+    reads the appraisals grading made in mixed buckets and makes only the rest."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        # Counted where appraise_study looks it up, as the benchmark's tracer does.
+        count = [0]
+        resolve = grasp.engine.resolve_matching
+
+        def counting(*args):
+            count[0] += 1
+            return resolve(*args)
+
+        monkeypatch.setattr(grasp.engine, "resolve_matching", counting)
+        return count
+
+    @pytest.mark.parametrize("argv, expected", [
+        (("grade",), 8),  # the studies of the fixture's mixed buckets
+        (("report", "--summary"), 29),  # the fixture's gradable studies
+    ], ids=["grade", "report-summary"])
+    def test_fixture(self, capsys, calls, argv, expected):
+        code, _, _ = run(capsys, argv[0], CORPUS, *argv[1:])
+        assert (code, calls[0]) == (0, expected)
+
+    def test_generated_corpus_with_mixed_buckets(self, capsys, tmp_path, calls):
+        corpus = replace(random_corpus(random.Random(5), 40), policy=AppraisalPolicy())
+        path = tmp_path / "corpus.json"
+        path.write_bytes(emit_corpus(corpus))
+        mixed = sum(
+            bucket.adjudication is not None
+            for tool in corpus.tools
+            for bucket in assign_grade(tool, corpus.studies_for(tool.id)).all_buckets
+        )
+        assert mixed > 5
+        calls[0] = 0
+        code, _, _ = run(capsys, "report", str(path), "--summary")
+        assert code == 0
+        assert calls[0] == sum(s.is_gradable for s in corpus.studies)
+
+
+class TestAppraisalErrors:
+    """A study grading never had to appraise fails only the evidence summary;
+    one in a mixed bucket fails grading too."""
+
+    @staticmethod
+    def _without_quality_override(tmp_path, study_id):
+        doc = json.loads((FIXTURES / "grasp8.json").read_text())
+        del next(s for s in doc["studies"] if s["id"] == study_id)["quality_override"]
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_study_in_a_unanimous_bucket(self, capsys, tmp_path):
+        path = self._without_quality_override(tmp_path, "taylor-s1")
+        graded = run(capsys, "grade", path)
+        assert graded[0] == 0 and graded == run(capsys, "grade", CORPUS)
+        assert run(capsys, "report", path, "--summary") == (
+            1, "", "error: study 'taylor-s1': no quality override and policy is override_only\n"
+        )
+
+    @pytest.mark.parametrize("argv", [("grade",), ("report", "--summary")], ids=["grade", "report-summary"])
+    def test_study_in_a_mixed_bucket(self, capsys, tmp_path, argv):
+        path = self._without_quality_override(tmp_path, "centor-s5")
+        assert run(capsys, argv[0], path, *argv[1:]) == (
+            1, "", "error: study 'centor-s5': no quality override and policy is override_only\n"
+        )
 
 
 class TestReportContainment:

@@ -24,6 +24,7 @@ from grasp.engine import (
 from grasp.errors import (
     AdjudicationRequired,
     EmptyBucket,
+    GraspError,
     InvalidReferenceYear,
     NoGradableEvidence,
     UnresolvableMatching,
@@ -39,9 +40,11 @@ from grasp.model import (
     OutcomeLabel,
     QualityVerdict,
     StrengthVerdict,
+    StudyDirection,
     ordinal_rank,
 )
 from conftest import AUTHOR_GRADES
+from gen import random_corpus, strip_overrides
 from oracles import (
     E,
     N,
@@ -219,26 +222,26 @@ class TestMixedProtocol:
         return mixed_protocol(studies, TOOL, policy)
 
     def test_single_class_a_beats_many_class_c(self):
-        direction, record = self.run(
+        direction, record, _ = self.run(
             [(EvidenceClass.A, P)] + [(EvidenceClass.C, N)] * 3
         )
         assert direction is BucketDirection.MIXED_POSITIVE
         assert record.step is not None
 
     def test_majority_within_class_b(self):
-        direction, _ = self.run(
+        direction, _, _ = self.run(
             [(EvidenceClass.B, P), (EvidenceClass.B, P), (EvidenceClass.B, N)]
         )
         assert direction is BucketDirection.MIXED_POSITIVE
 
     def test_class_a_tie_widens_to_class_b(self):
-        direction, _ = self.run(
+        direction, _, _ = self.run(
             [(EvidenceClass.A, P), (EvidenceClass.A, N), (EvidenceClass.B, N)]
         )
         assert direction is BucketDirection.MIXED_NEGATIVE
 
     def test_full_tie_conservative_fallback(self):
-        direction, record = self.run([(EvidenceClass.A, P), (EvidenceClass.A, N)])
+        direction, record, _ = self.run([(EvidenceClass.A, P), (EvidenceClass.A, N)])
         assert direction is BucketDirection.MIXED_NEGATIVE
         assert record.step is None
 
@@ -258,7 +261,7 @@ class TestMixedProtocol:
             if P not in directions or directions == {P}:
                 continue
             expected = oracle_direction(combo)
-            direction, record = self.run(combo)
+            direction, record, _ = self.run(combo)
             assert (direction, record.step is None) == expected
 
     def test_class_a_majority_ignores_lower_classes(self):
@@ -284,11 +287,37 @@ class TestMixedProtocol:
                         directions = {d for _, d in pairs}
                         if P not in directions or directions == {P}:
                             continue  # pure buckets never reach the protocol
-                        direction, record = self.run(pairs)
+                        direction, record, _ = self.run(pairs)
                         assert direction is expected
                         assert record.step is not None
                         cases += 1
         assert cases == 573  # every mixed multiset of <=5 with a strict A-majority
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [AppraisalPolicy(*rules) for rules in itertools.product(MatchingRule, QualityRule, TieFallback)],
+    ids=lambda policy: policy.fingerprint(),
+)
+def test_mixed_buckets_keep_the_appraisals_of_their_studies(policy):
+    # Oracle: a mixed bucket holds each study's appraisal in study order; a
+    # unanimous bucket and B1 hold none. Stripped overrides make the policy matter.
+    rng = random.Random(22)
+    mixed = 0
+    for _ in range(100):
+        corpus = strip_overrides(rng, random_corpus(rng))
+        for tool in corpus.tools:
+            try:
+                result = assign_grade(tool, corpus.studies_for(tool.id), policy)
+            except GraspError:
+                continue
+            for bucket in result.all_buckets:
+                if len({s.direction is StudyDirection.POSITIVE for s in bucket.studies}) == 2:
+                    mixed += 1
+                    assert list(bucket.appraisals) == [appraise_study(s, policy) for s in bucket.studies]
+                else:
+                    assert bucket.appraisals == ()
+    assert mixed > 50
 
 
 def _bucket(level, direction, tool_id="tool-001"):

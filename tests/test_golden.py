@@ -18,14 +18,13 @@ import json
 import os
 import random
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
 import pytest
 
 from conftest import FIXTURES
-from gen import random_corpus
+from gen import random_corpus, strip_overrides
 from grasp.cli import main
 from grasp.engine import assign_grade
 from grasp.errors import GraspError
@@ -230,23 +229,6 @@ _SEEDS_PER_CHUNK = 20
 _GRADE_CHUNKS = tuple(range(10))
 
 
-def _strip_overrides(rng: random.Random, corpus):
-    """Drop the appraiser overrides of a random share of studies.
-
-    Without an override, matching falls back to the study's flags (and is
-    unresolvable without any) and quality to the policy's rule (and is
-    unresolvable under override_only).
-    """
-    def strip(study):
-        roll = rng.random()
-        if roll < 0.15:
-            return replace(study, matching_override=None)
-        if roll < 0.30:
-            return replace(study, quality_override=None)
-        return study
-    return replace(corpus, studies=tuple(strip(s) for s in corpus.studies))
-
-
 def _project(result) -> dict:
     return {
         "tool_id": result.tool_id,
@@ -272,7 +254,7 @@ def _project(result) -> dict:
 
 def grade_outcomes(seed: int) -> list[dict]:
     rng = random.Random(seed)
-    corpus = _strip_overrides(rng, random_corpus(rng))
+    corpus = strip_overrides(rng, random_corpus(rng))
     outcomes = []
     for tool in corpus.tools:
         try:
