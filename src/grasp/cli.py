@@ -11,6 +11,7 @@ injects a timestamp.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -25,6 +26,8 @@ from .engine import appraise_study, assign_grade, compute_indices
 from .errors import ConsistencyError, GraspError
 from .model import AppraisalPolicy, GradeResult, ToolProfile
 from .report import ReportFormat, grade_to_obj, render_detailed_report, render_evidence_summary
+
+gc.freeze()  # what the imports made lives until exit, so no collection (the one at exit too) walks it
 
 
 class ExitStatus(IntEnum):

@@ -192,26 +192,6 @@ def _as_bool(value: Any, path: str) -> bool:
     return value
 
 
-def _finite(value: Any, path: str) -> Any:
-    # json.loads reads NaN and +-Infinity (1e400 too), which cannot be emitted as
-    # JSON; an integer beyond the float range overflows the indices' arithmetic.
-    if not abs(value) <= sys.float_info.max:
-        raise SchemaError(path, "expected a finite number")
-    return value
-
-
-def _as_int(value: Any, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(path, f"expected an integer, got {_type_name(value)}")
-    return _finite(value, path)
-
-
-def _as_number(value: Any, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(path, f"expected a number, got {_type_name(value)}")
-    return float(_finite(value, path))
-
-
 def _require(obj: dict, key: str, path: str) -> Any:
     if key not in obj:
         raise SchemaError(f"{path}.{key}", "required field is missing")
@@ -256,15 +236,8 @@ def _typed(values: list, *types: type) -> list:  # exact types: a bool is no int
 
 
 def _str_column(values: list) -> list:
-    text = "".join(_typed(values, str))
-    if not text.isascii():
-        text.encode("utf-8")  # UnicodeEncodeError on a lone surrogate, as in _as_str
+    _as_str("".join(_typed(values, str)), "")  # a lone surrogate raises, as in each string
     return values
-
-
-def _bounded(values: list, low: float, *types: type) -> list:
-    # A chained comparison is False for NaN, which min() and max() would step over.
-    return _expect(all(low <= v <= sys.float_info.max for v in _typed(values, *types)), values)
 
 
 def _objects(values: list, keys: AbstractSet[str]) -> list:
@@ -281,12 +254,27 @@ def _scalar(type_check: Callable[[Any, str], Any], column: Callable) -> _Codec:
     return (lambda value, path, sink: type_check(value, path)), _same, column
 
 
-def _at_least(type_check: Callable[[Any, str], Any], low: int, word: str, column: Callable) -> _Codec:
+def _number(noun: str, types: tuple[type, ...], low: float, word: str) -> _Codec:
+    """A finite number of one of ``types`` (exact: a bool is no int), at least ``low``, which
+    ``word`` names; with ``float`` in ``types`` it decodes to a float."""
+    cast = float if float in types else int
+
     def decode(value: Any, path: str, sink: _Collector):
-        value = type_check(value, path)
-        if value < low:
+        if type(value) not in types:
+            raise SchemaError(path, f"expected {noun}, got {_type_name(value)}")
+        # json.loads reads NaN and +-Infinity (1e400 too), which cannot be emitted as
+        # JSON; an integer beyond the float range overflows the indices' arithmetic.
+        if not abs(value) <= sys.float_info.max:
+            raise SchemaError(path, "expected a finite number")
+        if (value := cast(value)) < low:
             raise SchemaError(path, f"must be {word}, got {value}")
         return value
+
+    def column(values: list) -> list:
+        # A chained comparison is False for NaN, which min() and max() would step over.
+        in_range = all(low <= v <= sys.float_info.max for v in _typed(values, *types))
+        return list(map(cast, _expect(in_range, values)))
+
     return decode, _same, column
 
 
@@ -359,9 +347,9 @@ def _flags(keys: Sequence[str]) -> _Codec:
 
 
 _STR, _BOOL = _scalar(_as_str, _str_column), _scalar(_as_bool, lambda values: _typed(values, bool))
-_INT = _scalar(_as_int, lambda values: _bounded(values, -sys.float_info.max, int))
-_COUNT = _at_least(_as_int, 0, "non-negative", lambda values: _bounded(values, 0, int))
-_POSITIVE = _at_least(_as_int, 1, "positive", lambda values: _bounded(values, 1, int))
+_INT = _number("an integer", (int,), -sys.float_info.max, "finite")
+_COUNT = _number("an integer", (int,), 0, "non-negative")
+_POSITIVE = _number("an integer", (int,), 1, "positive")
 
 
 # --- record tables: one entry per JSON key, in canonical order ---
@@ -423,8 +411,7 @@ _TOOL_TABLE = _Table(
     _Field("authors_count", *_POSITIVE),
     _Field("sample_size", *_POSITIVE),
     _Field("journal_name", *_STR),
-    _Field("journal_rank", *_at_least(_as_number, 0, "non-negative",
-                                      lambda values: list(map(float, _bounded(values, 0, int, float))))),
+    _Field("journal_rank", *_number("a number", (int, float), 0, "non-negative")),
 )
 
 _STUDY_TABLE = _Table(
@@ -483,7 +470,7 @@ def _decode_columns(raw: list, table: _Table) -> Optional[list]:
             decoded = iter(column(present))
             columns.append(decoded if len(present) == len(values) else
                            [default() if value is _ABSENT else next(decoded) for value in values])
-    except (_Irregular, CorpusError, KeyError, UnicodeEncodeError):
+    except (_Irregular, CorpusError, KeyError):
         return None
     records = list(map(object.__new__, repeat(table.model, len(raw))))
     for record, row in zip(records, zip(*columns)):
@@ -600,6 +587,24 @@ def _cross_checks(
             ))
 
 
+def _decode_list(raw: list, path: str, table: _Table, id_key: str, sink: _Collector,
+                 check: Callable[[Any, str], None]) -> tuple[list[tuple[str, Any]], set[str]]:
+    """Records of ``raw`` that decode and pass ``check``, with paths; the ``id_key`` strings of the rest."""
+    records, failed = [], set()
+    decoded = _decode_columns(raw, table) or [None] * len(raw)
+    for i, value in enumerate(raw):
+        where = f"{path}[{i}]"
+        try:
+            record = decoded[i] or _decode_record(value, where, table, sink)
+            check(record, where)
+            records.append((where, record))
+        except CorpusError as exc:
+            sink.errors.append(exc)
+            if isinstance(value, dict) and isinstance(value.get(id_key), str):
+                failed.add(value[id_key])
+    return records, failed
+
+
 def load_corpus(
     data: bytes | str, *, strict: bool = True
 ) -> tuple[Optional[Corpus], list[CorpusError], list[str]]:
@@ -646,30 +651,9 @@ def _load(data: bytes | str, strict: bool) -> tuple[Optional[Corpus], list[Corpu
     except CorpusError as exc:
         return None, [exc, *sink.errors], sink.warnings
 
-    tools: list[tuple[str, ToolProfile]] = []
-    unparsed: set[str] = set()
-    decoded = _decode_columns(raw_tools, _TOOL_TABLE) or [None] * len(raw_tools)
-    for i, raw in enumerate(raw_tools):
-        path = f"$.tools[{i}]"
-        try:
-            tools.append((path, decoded[i] or _decode_record(raw, path, _TOOL_TABLE, sink)))
-        except CorpusError as exc:
-            sink.errors.append(exc)
-            if isinstance(raw, dict) and isinstance(raw.get("id"), str):
-                unparsed.add(raw["id"])
-    studies: list[tuple[str, StudyRecord]] = []
-    incomplete: set[str] = set()
-    decoded = _decode_columns(raw_studies, _STUDY_TABLE) or [None] * len(raw_studies)
-    for i, raw in enumerate(raw_studies):
-        path = f"$.studies[{i}]"
-        try:
-            study = decoded[i] or _decode_record(raw, path, _STUDY_TABLE, sink)
-            _study_consistency(study, path)
-            studies.append((path, study))
-        except CorpusError as exc:
-            sink.errors.append(exc)
-            if isinstance(raw, dict) and isinstance(raw.get("tool_id"), str):
-                incomplete.add(raw["tool_id"])
+    tools, unparsed = _decode_list(raw_tools, "$.tools", _TOOL_TABLE, "id", sink, lambda *_: None)
+    studies, incomplete = _decode_list(
+        raw_studies, "$.studies", _STUDY_TABLE, "tool_id", sink, _study_consistency)
 
     policy = AppraisalPolicy()
     if "policy" in top:

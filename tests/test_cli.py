@@ -54,6 +54,22 @@ class TestGrade:
         assert code == 0
         assert out.splitlines() == ["dietrich C0 Negative -"]
 
+    def test_tool_id_that_begins_with_a_dash(self, capsys, tmp_path):
+        # argparse reads "--tool -x" as a flag with no value; "--tool=-x" passes the id.
+        doc = json.loads((FIXTURES / "grasp8.json").read_text())
+        for record in (*doc["tools"], *doc["studies"]):
+            for key in ("id", "tool_id"):
+                if record.get(key) == "centor":
+                    record[key] = "-x"
+        path = tmp_path / "dash.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "grade", str(path), "--tool=-x")
+        assert code == 0
+        assert out.splitlines() == ['-x B3 Positive "Grade B3 - Workflow"']
+        with pytest.raises(SystemExit) as exc:
+            main(["grade", str(path), "--tool", "-x"])
+        assert exc.value.code == 2
+
     def test_unknown_tool_filter(self, capsys):
         code, _, err = run(capsys, "grade", CORPUS, "--tool", "nonexistent")
         assert code == 1

@@ -738,8 +738,9 @@ class TestFuzz:
 
 
 #: Values each key of a record takes in the bulk/per-record comparison.
-BULK_EXTREMES = (0, -1, 10**300, 10**400, -10**400, 1e308, float("nan"), "", "a|b\nc", None,
-                 True, [], {}, 2.5, " c1 ", "\u00e9t\u00e9", "\ud800")
+BULK_EXTREMES = (0, 1, -1, 10**300, 10**400, -10**400, 1e308, -1e308, -0.0, float("nan"),
+                 float("inf"), float("-inf"), "", "a|b\nc", None, True, False, [], {}, 2.5, " c1 ",
+                 "\u00e9t\u00e9", "\ud800")
 
 
 def _one_key_edits():

@@ -58,6 +58,19 @@ def test_corpus_and_report_do_not_import_the_engine():
     assert "grasp.engine" not in loaded
 
 
+@pytest.mark.parametrize("modules, frozen", [
+    ("grasp.cli", True), ("grasp.corpus, grasp.engine, grasp.report, grasp.stats", False),
+])
+def test_only_the_cli_freezes_the_import_time_heap(modules, frozen):
+    # A CLI process keeps what its imports made until exit; a library leaves the collector alone.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", f"import gc, {modules}; print(gc.get_freeze_count())"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
+    )
+    assert (int(done.stdout) > 0) is frozen
+
+
 #: Records the corpus decodes: callers use the dataclass API on them (``fields``, ``replace``).
 DECODED_RECORDS = ("ToolProfile", "StudyRecord", "AppraisalPolicy", "Corpus")
 #: Values grading and statistics compute: named tuples.
