@@ -23,7 +23,7 @@ from typing import Iterator, Optional, Sequence, Union
 
 from . import corpus as corpus_io
 from .engine import appraise_study, assign_grade, compute_indices
-from .errors import ConsistencyError, GraspError
+from .errors import ConsistencyError, GraspError, UnresolvableMatching, UnresolvableQuality
 from .model import AppraisalPolicy, GradeResult, ToolProfile
 from .report import ReportFormat, grade_to_obj, render_detailed_report, render_evidence_summary
 
@@ -245,11 +245,19 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     corpus, errors, warnings = corpus_io.load_corpus(_read(args.corpus), strict=args.strict)
     for message in warnings:
         _warn(message)
+    if not errors:
+        assert corpus is not None
+        # Every gradable study must appraise under the corpus's policy, as a report needs.
+        for i, study in enumerate(corpus.studies):
+            if study.is_gradable:
+                try:
+                    appraise_study(study, corpus.policy)
+                except (UnresolvableMatching, UnresolvableQuality) as error:
+                    errors.append(ConsistencyError(f"$.studies[{i}]", str(error)))
     if errors:
         for error in errors:
             print(f"{type(error).__name__}: {error}", file=sys.stderr)
         return ExitStatus.DATA_ERROR
-    assert corpus is not None
     print(f"OK: {len(corpus.tools)} tools, {len(corpus.studies)} studies")
     return ExitStatus.OK
 

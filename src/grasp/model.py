@@ -22,7 +22,14 @@ from enum import Enum
 from typing import Mapping, NamedTuple, Optional
 
 
-class Phase(Enum):
+class _Enum(Enum):
+    """Base of every enum here. Members compare by identity, as any enum's do,
+    so they hash by identity too, in C, not through ``Enum.__hash__``."""
+
+    __hash__ = object.__hash__
+
+
+class Phase(_Enum):
     """Lifecycle stage of the published evidence on a tool."""
 
     BEFORE_IMPLEMENTATION = "before_implementation"
@@ -47,7 +54,7 @@ _PHASE_ROWS = {
 _PHASE_OF_LETTER = {letter: phase for phase, (letter, _) in _PHASE_ROWS.items()}
 
 
-class GradeLevel(Enum):
+class GradeLevel(_Enum):
     """One rung of the grade ladder, ordered C0 < C3 < C2 < C1 < B3 < B2 < B1 < A3 < A2 < A1.
 
     C0 and B1 are outcome-only levels: C0 marks a tool whose evidence never
@@ -90,7 +97,7 @@ def ordinal_rank(level: GradeLevel) -> int:
     return _RANK[level]
 
 
-class StudyDirection(Enum):
+class StudyDirection(_Enum):
     """Per-study conclusion. Equivocal is grouped with negative when aggregating."""
 
     POSITIVE = "positive"
@@ -98,7 +105,7 @@ class StudyDirection(Enum):
     NEGATIVE = "negative"
 
 
-class BucketDirection(Enum):
+class BucketDirection(_Enum):
     """Aggregated direction of one evidence bucket."""
 
     POSITIVE = "positive"
@@ -112,23 +119,23 @@ class BucketDirection(Enum):
         return self in (BucketDirection.POSITIVE, BucketDirection.MIXED_POSITIVE)
 
 
-class MatchingVerdict(Enum):
+class MatchingVerdict(_Enum):
     MATCHING = "matching"
     NON_MATCHING = "non_matching"
 
 
-class QualityVerdict(Enum):
+class QualityVerdict(_Enum):
     HIGH = "high"
     LOW = "low"
 
 
-class StrengthVerdict(Enum):
+class StrengthVerdict(_Enum):
     STRONG = "strong"
     MEDIUM = "medium"
     WEAK = "weak"
 
 
-class EvidenceClass(Enum):
+class EvidenceClass(_Enum):
     """Adjudication class used by the mixed evidence protocol (A strongest)."""
 
     A = "A"
@@ -136,21 +143,21 @@ class EvidenceClass(Enum):
     C = "C"
 
 
-class MatchingRule(Enum):
+class MatchingRule(_Enum):
     """How per-field matching flags resolve to a verdict."""
 
     STRICT_ALL = "strict_all"
     IGNORE_MISSING = "ignore_missing"
 
 
-class QualityRule(Enum):
+class QualityRule(_Enum):
     """How a quality verdict is obtained when no override is recorded."""
 
     OVERRIDE_ONLY = "override_only"
     MAJORITY_OF_FLAGS = "majority_of_flags"
 
 
-class TieFallback(Enum):
+class TieFallback(_Enum):
     """Behaviour when the adjudication cascade ties at every step."""
 
     CONSERVATIVE_NEGATIVE = "conservative_negative"
@@ -205,29 +212,29 @@ class StudyAppraisal(NamedTuple):
         return _APPRAISAL_TABLE[(self.matching, self.quality)][1]
 
 
-class ToolCategory(Enum):
+class ToolCategory(_Enum):
     DIAGNOSTIC = "diagnostic"
     THERAPEUTIC = "therapeutic"
     PROGNOSTIC = "prognostic"
     PREVENTIVE = "preventive"
 
 
-class InputSource(Enum):
+class InputSource(_Enum):
     CLINICAL = "clinical"
     NON_CLINICAL = "non_clinical"
 
 
-class InputType(Enum):
+class InputType(_Enum):
     OBJECTIVE = "objective"
     SUBJECTIVE = "subjective"
 
 
-class Automation(Enum):
+class Automation(_Enum):
     MANUAL = "manual"
     AUTOMATED = "automated"
 
 
-class StudyType(Enum):
+class StudyType(_Enum):
     DEVELOPMENT = "development"
     INTERNAL_VALIDATION = "internal_validation"
     EXTERNAL_VALIDATION = "external_validation"
@@ -236,7 +243,7 @@ class StudyType(Enum):
     POST_IMPLEMENTATION_IMPACT = "post_implementation_impact"
 
 
-class ImpactSubtype(Enum):
+class ImpactSubtype(_Enum):
     """Design of a post-implementation impact study; fixes its A-level."""
 
     EXPERIMENTAL = "experimental"
@@ -244,7 +251,7 @@ class ImpactSubtype(Enum):
     SUBJECTIVE = "subjective"
 
 
-class OutcomeLabel(Enum):
+class OutcomeLabel(_Enum):
     """One-word outcome tags a study may carry."""
 
     EFFECTIVENESS = "effectiveness"

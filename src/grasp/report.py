@@ -106,14 +106,13 @@ def _enum_list(values, enum_cls) -> str:
     return ", ".join(names) if names else ABSENT
 
 
+def _cell(text: str) -> str:
+    """A table cell: its left border, then its text. Free text must not break the grid."""
+    return "| " + _one_line(text.replace("|", "\\|")) + " "
+
+
 def _row_cells(*cells: str) -> str:
-    # Free-text fields must not break the table grid.
-    return "| " + " | ".join([_one_line(cell.replace("|", "\\|")) for cell in cells]) + " |"
-
-
-def _legacy_grade(level: GradeLevel) -> str:
-    """The grade token of the legacy ladder row a grade lands on."""
-    return next(grade for levels, (_, _, grade) in LEGACY_LADDER if level in levels)
+    return "".join(map(_cell, cells)) + "|"
 
 
 def _studies_on_record(result: GradeResult) -> str:
@@ -206,40 +205,33 @@ LEGACY_LADDER = tuple(
     )
 )
 
+#: The grade token of the legacy ladder row each grade lands on.
+_LEGACY_GRADE = {level: grade for levels, (_, _, grade) in LEGACY_LADDER for level in levels}
 _RESULT_CELLS = dict(DETAIL_RESULTS)
 LEGACY_RESULTS = (
-    ("Final Grade", lambda result: f"**{_legacy_grade(result.final_grade)}**"),
+    ("Final Grade", lambda result: f"**{_LEGACY_GRADE[result.final_grade]}**"),
     ("Direction of Evidence", _RESULT_CELLS["Direction of Evidence"]),
     ("Justification", _RESULT_CELLS["Justification"]),
     ("References", _RESULT_CELLS["Evidence Summary"]),
     ("Label/Colour Code", _RESULT_CELLS["Findings Codes"]),
 )
 
-#: Title and row tables of each markdown layout of the detailed report.
+#: Each markdown layout of the detailed report: title, field, ladder and result rows, with
+#: every fixed cell escaped here (labels, ladder cells; the evidence words need no escaping).
 _MARKDOWN_LAYOUTS = {
-    ReportFormat.MARKDOWN_TABLE4: (
-        "GRASP Detailed Report", DETAIL_FIELDS, DETAIL_LADDER, DETAIL_RESULTS
-    ),
-    ReportFormat.MARKDOWN_TABLE3_LEGACY: (
-        "GRASP Detailed Report (legacy layout)", LEGACY_FIELDS, LEGACY_LADDER, LEGACY_RESULTS
-    ),
+    layout: (
+        title,
+        tuple((_cell(label), cell) for label, cell in fields),
+        tuple((levels, "".join(map(_cell, cells))) for levels, cells in ladder),
+        tuple((_cell(label), cell) for label, cell in results),
+    )
+    for layout, title, fields, ladder, results in (
+        (ReportFormat.MARKDOWN_TABLE4, "GRASP Detailed Report",
+         DETAIL_FIELDS, DETAIL_LADDER, DETAIL_RESULTS),
+        (ReportFormat.MARKDOWN_TABLE3_LEGACY, "GRASP Detailed Report (legacy layout)",
+         LEGACY_FIELDS, LEGACY_LADDER, LEGACY_RESULTS),
+    )
 }
-
-
-def _ladder_rows(result: GradeResult, ladder) -> list[str]:
-    buckets = {bucket.level: bucket for bucket in result.all_buckets}
-    final = result.final_grade
-    rows = [
-        "| Phase of Evaluation | Level of Evidence | Grade | Evidence |",
-        "| --- | --- | --- | --- |",
-    ]
-    for levels, cells in ladder:
-        bucket = next((buckets[level] for level in levels if level in buckets), None)
-        evidence = DIRECTION_LEGEND[bucket.direction] if bucket else ABSENT
-        if final in levels:
-            evidence += " <== final grade"
-        rows.append(_row_cells(*cells, evidence))
-    return rows
 
 
 def _markdown_detailed(
@@ -254,11 +246,18 @@ def _markdown_detailed(
     if generated_at:
         lines.append(f"Generated: {generated_at}")
     lines += ["", "| Field | Value |", "| --- | --- |"]
-    lines += [_row_cells(label, cell(tool, indices)) for label, cell in fields]
-    lines.append("")
-    lines += _ladder_rows(result, ladder)
+    lines += [head + _cell(cell(tool, indices)) + "|" for head, cell in fields]
+    lines += ["", "| Phase of Evaluation | Level of Evidence | Grade | Evidence |",
+              "| --- | --- | --- | --- |"]
+    buckets, final = {bucket.level: bucket for bucket in result.all_buckets}, result.final_grade
+    for levels, head in ladder:
+        bucket = next((buckets[level] for level in levels if level in buckets), None)
+        evidence = DIRECTION_LEGEND[bucket.direction] if bucket else ABSENT
+        if final in levels:
+            evidence += " <== final grade"
+        lines.append(f"{head}| {evidence} |")
     lines += ["", "| Field | Value |", "| --- | --- |"]
-    lines += [_row_cells(label, cell(result)) for label, cell in results]
+    lines += [head + _cell(cell(result)) + "|" for head, cell in results]
     return "\n".join(lines) + "\n"
 
 

@@ -14,6 +14,8 @@ import operator
 from typing import Iterable, Optional, Sequence
 
 from grasp.model import (
+    MATCHING_FIELD_KEYS,
+    AppraisalPolicy,
     Automation,
     BucketDirection,
     EvidenceClass,
@@ -21,12 +23,15 @@ from grasp.model import (
     ImpactSubtype,
     InputSource,
     InputType,
+    MatchingRule,
     MatchingVerdict,
     Phase,
+    QualityRule,
     QualityVerdict,
     StudyDirection,
     StudyRecord,
     StudyType,
+    TieFallback,
     ToolCategory,
     ToolProfile,
 )
@@ -198,6 +203,79 @@ def oracle_quality_majority(flags: dict[str, bool]) -> QualityVerdict:
     trues = sum(1 for v in flags.values() if v)
     falses = len(flags) - trues
     return QualityVerdict.HIGH if trues > falses else QualityVerdict.LOW
+
+
+class OracleUngradable(Exception):
+    """The tool has no gradable study, or a study of a mixed bucket cannot be appraised."""
+
+
+#: The grade ladder as the README's table lists it, highest rank first (C0 is no bucket).
+_LADDER_DOWN = tuple(GradeLevel(token) for token in "A1 A2 A3 B1 B2 B3 C1 C2 C3".split())
+_CLASS_OF = {pair: evidence_class for evidence_class, pair in CLASS_OVERRIDES.items()}
+_QUALIFYING = (BucketDirection.POSITIVE, BucketDirection.MIXED_POSITIVE)
+
+
+def _oracle_class(record: StudyRecord, policy: AppraisalPolicy) -> EvidenceClass:
+    """A = matching + high quality, C = non-matching + low quality, B in between."""
+    flags = {k: v for k, v in record.matching_fields.items() if k in MATCHING_FIELD_KEYS}
+    strict = policy.matching_rule is MatchingRule.STRICT_ALL
+    matching = oracle_matching(flags, record.matching_override, strict, len(MATCHING_FIELD_KEYS))
+    quality = record.quality_override
+    if quality is None and policy.quality_rule is QualityRule.MAJORITY_OF_FLAGS:
+        quality = oracle_quality_majority(record.quality_fields)
+    if matching is None or quality is None:
+        raise OracleUngradable(f"study {record.id!r} cannot be appraised")
+    return _CLASS_OF.get((matching, quality), EvidenceClass.B)
+
+
+def oracle_grade(
+    studies: Sequence[StudyRecord], policy: AppraisalPolicy
+) -> tuple[GradeLevel, BucketDirection, bool]:
+    """Literal re-derivation of a tool's whole grade from the README rules:
+    (final grade, direction, needs review).
+
+    Studies sharing a level form a bucket; external validations are pooled,
+    into C1 when two or more distinct studies, else C2. Only a bucket with
+    conflicting conclusions appraises its studies. B1 joins qualifying B2 and
+    B3 buckets. The grade is the first qualifying bucket scanning down from
+    A1, else C0 with the direction of the highest bucket. Raises OracleTie
+    for a full tie under the failing fallback, and OracleUngradable where the
+    engine cannot grade either.
+    """
+    groups: dict[GradeLevel, list[StudyRecord]] = {}
+    external = []
+    for record in studies:
+        if record.level is None:
+            continue
+        if record.study_type is StudyType.EXTERNAL_VALIDATION:
+            external.append(record)
+        else:
+            groups.setdefault(record.level, []).append(record)
+    if external:
+        pooled = GradeLevel.C1 if len({s.id for s in external}) >= 2 else GradeLevel.C2
+        groups.setdefault(pooled, []).extend(external)
+    if not groups:
+        raise OracleUngradable("no gradable study")
+
+    conservative = policy.tie_fallback is TieFallback.CONSERVATIVE_NEGATIVE
+    buckets = {}
+    for level, group in groups.items():
+        mixed = 0 < sum(s.direction is P for s in group) < len(group)
+        pairs = [(_oracle_class(s, policy) if mixed else None, s.direction) for s in group]
+        buckets[level] = oracle_direction(pairs, conservative)
+    b2, b3 = buckets.get(GradeLevel.B2), buckets.get(GradeLevel.B3)
+    if b2 and b3 and b2[0] in _QUALIFYING and b3[0] in _QUALIFYING:
+        both = b2[0] is b3[0] is BucketDirection.POSITIVE
+        buckets[GradeLevel.B1] = (
+            BucketDirection.POSITIVE if both else BucketDirection.MIXED_POSITIVE, False
+        )
+
+    review = any(flag for _, flag in buckets.values())
+    present = [level for level in _LADDER_DOWN if level in buckets]
+    for level in present:
+        if buckets[level][0] in _QUALIFYING:
+            return level, buckets[level][0], review
+    return GradeLevel.C0, buckets[present[0]][0], review
 
 
 def oracle_permutation_p(x: Sequence[float], y: Sequence[float]) -> float:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -44,15 +45,18 @@ from grasp.model import (
     ordinal_rank,
 )
 from conftest import AUTHOR_GRADES
-from gen import random_corpus, strip_overrides
+from gen import random_corpus, random_policy, strip_overrides
 from oracles import (
     E,
     N,
     P,
+    OracleTie,
+    OracleUngradable,
     make_bucket_studies,
     make_study,
     make_tool,
     oracle_direction,
+    oracle_grade,
     oracle_matching,
     oracle_quality_majority,
 )
@@ -320,6 +324,32 @@ def test_mixed_buckets_keep_the_appraisals_of_their_studies(policy):
     assert mixed > 50
 
 
+def test_assign_grade_agrees_with_the_whole_grade_oracle():
+    # Oracle: the README's grading rules restated in tests/oracles.py, under a
+    # random policy per corpus; stripped overrides make the policy matter and
+    # some tools fail, which both must do on the same inputs.
+    rng = random.Random(26)
+    outcomes = Counter()
+    for round_ in range(300):
+        corpus = random_corpus(rng, 4)
+        if round_ % 2:
+            corpus = strip_overrides(rng, corpus)
+        policy = random_policy(rng)
+        for tool in corpus.tools:
+            studies = corpus.studies_for(tool.id)
+            try:
+                expected = oracle_grade(studies, policy)
+            except (OracleTie, OracleUngradable) as failure:
+                with pytest.raises((AdjudicationRequired, UnresolvableMatching, UnresolvableQuality)):
+                    assign_grade(tool, studies, policy)
+                outcomes[type(failure).__name__] += 1
+                continue
+            result = assign_grade(tool, studies, policy)
+            assert (result.final_grade, result.direction, result.needs_review) == expected
+            outcomes["review" if result.needs_review else result.direction.value] += 1
+    assert min(outcomes.values()) >= 5 and len(outcomes) == 7, outcomes
+
+
 def _bucket(level, direction, tool_id="tool-001"):
     pair = {
         BucketDirection.POSITIVE: [(EvidenceClass.A, P)],
@@ -371,6 +401,17 @@ class TestExternalValidationSplit:
         buckets = build_buckets(TOOL, studies, DEFAULT)
         assert set(buckets) == {GradeLevel.C1}
         assert len(buckets[GradeLevel.C1].studies) == 2
+
+    def test_a_negative_external_validation_can_raise_the_grade(self):
+        # Every external validation counts toward "multiple times", whatever its
+        # conclusion: the pair re-levels to C1, where the class-A study decides.
+        alone = assign_grade(TOOL, [make_study("s001", GradeLevel.C2, P, EvidenceClass.A)])
+        assert (alone.final_grade, alone.direction) == (GradeLevel.C2, BucketDirection.POSITIVE)
+        pair = [make_study("s001", GradeLevel.C1, P, EvidenceClass.A),
+                make_study("s002", GradeLevel.C1, N, EvidenceClass.C)]
+        both = assign_grade(TOOL, pair)
+        assert (both.final_grade, both.direction) == (GradeLevel.C1, BucketDirection.MIXED_POSITIVE)
+        assert oracle_grade(pair, DEFAULT) == (GradeLevel.C1, BucketDirection.MIXED_POSITIVE, False)
 
 
 class TestAssignGrade:
