@@ -242,18 +242,25 @@ def _cmd_survey(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    corpus, errors, warnings = corpus_io.load_corpus(_read(args.corpus), strict=args.strict)
+    data = _read(args.corpus)
+    corpus, errors, warnings = corpus_io.load_corpus(data, strict=args.strict)
     for message in warnings:
         _warn(message)
     if not errors:
         assert corpus is not None
         # Every gradable study must appraise under the corpus's policy, as a report needs.
-        for i, study in enumerate(corpus.studies):
+        failed = {}
+        for study in corpus.studies:
             if study.is_gradable:
                 try:
                     appraise_study(study, corpus.policy)
                 except (UnresolvableMatching, UnresolvableQuality) as error:
-                    errors.append(ConsistencyError(f"$.studies[{i}]", str(error)))
+                    failed[study.id] = str(error)
+        if failed:
+            # The corpus loaded, so its studies array holds each study id once.
+            for i, study in enumerate(json.loads(data)["studies"]):
+                if study["id"] in failed:
+                    errors.append(ConsistencyError(f"$.studies[{i}]", failed[study["id"]]))
     if errors:
         for error in errors:
             print(f"{type(error).__name__}: {error}", file=sys.stderr)

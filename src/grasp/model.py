@@ -22,14 +22,7 @@ from enum import Enum
 from typing import Mapping, NamedTuple, Optional
 
 
-class _Enum(Enum):
-    """Base of every enum here. Members compare by identity, as any enum's do,
-    so they hash by identity too, in C, not through ``Enum.__hash__``."""
-
-    __hash__ = object.__hash__
-
-
-class Phase(_Enum):
+class Phase(Enum):
     """Lifecycle stage of the published evidence on a tool."""
 
     BEFORE_IMPLEMENTATION = "before_implementation"
@@ -54,7 +47,7 @@ _PHASE_ROWS = {
 _PHASE_OF_LETTER = {letter: phase for phase, (letter, _) in _PHASE_ROWS.items()}
 
 
-class GradeLevel(_Enum):
+class GradeLevel(Enum):
     """One rung of the grade ladder, ordered C0 < C3 < C2 < C1 < B3 < B2 < B1 < A3 < A2 < A1.
 
     C0 and B1 are outcome-only levels: C0 marks a tool whose evidence never
@@ -97,7 +90,7 @@ def ordinal_rank(level: GradeLevel) -> int:
     return _RANK[level]
 
 
-class StudyDirection(_Enum):
+class StudyDirection(Enum):
     """Per-study conclusion. Equivocal is grouped with negative when aggregating."""
 
     POSITIVE = "positive"
@@ -105,7 +98,7 @@ class StudyDirection(_Enum):
     NEGATIVE = "negative"
 
 
-class BucketDirection(_Enum):
+class BucketDirection(Enum):
     """Aggregated direction of one evidence bucket."""
 
     POSITIVE = "positive"
@@ -119,23 +112,23 @@ class BucketDirection(_Enum):
         return self in (BucketDirection.POSITIVE, BucketDirection.MIXED_POSITIVE)
 
 
-class MatchingVerdict(_Enum):
+class MatchingVerdict(Enum):
     MATCHING = "matching"
     NON_MATCHING = "non_matching"
 
 
-class QualityVerdict(_Enum):
+class QualityVerdict(Enum):
     HIGH = "high"
     LOW = "low"
 
 
-class StrengthVerdict(_Enum):
+class StrengthVerdict(Enum):
     STRONG = "strong"
     MEDIUM = "medium"
     WEAK = "weak"
 
 
-class EvidenceClass(_Enum):
+class EvidenceClass(Enum):
     """Adjudication class used by the mixed evidence protocol (A strongest)."""
 
     A = "A"
@@ -143,21 +136,21 @@ class EvidenceClass(_Enum):
     C = "C"
 
 
-class MatchingRule(_Enum):
+class MatchingRule(Enum):
     """How per-field matching flags resolve to a verdict."""
 
     STRICT_ALL = "strict_all"
     IGNORE_MISSING = "ignore_missing"
 
 
-class QualityRule(_Enum):
+class QualityRule(Enum):
     """How a quality verdict is obtained when no override is recorded."""
 
     OVERRIDE_ONLY = "override_only"
     MAJORITY_OF_FLAGS = "majority_of_flags"
 
 
-class TieFallback(_Enum):
+class TieFallback(Enum):
     """Behaviour when the adjudication cascade ties at every step."""
 
     CONSERVATIVE_NEGATIVE = "conservative_negative"
@@ -212,29 +205,29 @@ class StudyAppraisal(NamedTuple):
         return _APPRAISAL_TABLE[(self.matching, self.quality)][1]
 
 
-class ToolCategory(_Enum):
+class ToolCategory(Enum):
     DIAGNOSTIC = "diagnostic"
     THERAPEUTIC = "therapeutic"
     PROGNOSTIC = "prognostic"
     PREVENTIVE = "preventive"
 
 
-class InputSource(_Enum):
+class InputSource(Enum):
     CLINICAL = "clinical"
     NON_CLINICAL = "non_clinical"
 
 
-class InputType(_Enum):
+class InputType(Enum):
     OBJECTIVE = "objective"
     SUBJECTIVE = "subjective"
 
 
-class Automation(_Enum):
+class Automation(Enum):
     MANUAL = "manual"
     AUTOMATED = "automated"
 
 
-class StudyType(_Enum):
+class StudyType(Enum):
     DEVELOPMENT = "development"
     INTERNAL_VALIDATION = "internal_validation"
     EXTERNAL_VALIDATION = "external_validation"
@@ -243,7 +236,7 @@ class StudyType(_Enum):
     POST_IMPLEMENTATION_IMPACT = "post_implementation_impact"
 
 
-class ImpactSubtype(_Enum):
+class ImpactSubtype(Enum):
     """Design of a post-implementation impact study; fixes its A-level."""
 
     EXPERIMENTAL = "experimental"
@@ -251,7 +244,7 @@ class ImpactSubtype(_Enum):
     SUBJECTIVE = "subjective"
 
 
-class OutcomeLabel(_Enum):
+class OutcomeLabel(Enum):
     """One-word outcome tags a study may carry."""
 
     EFFECTIVENESS = "effectiveness"

@@ -217,7 +217,7 @@ LEGACY_RESULTS = (
 )
 
 #: Each markdown layout of the detailed report: title, field, ladder and result rows, with
-#: every fixed cell escaped here (labels, ladder cells; the evidence words need no escaping).
+#: every fixed cell (labels, ladder cells) escaped here.
 _MARKDOWN_LAYOUTS = {
     layout: (
         title,
@@ -249,13 +249,13 @@ def _markdown_detailed(
     lines += [head + _cell(cell(tool, indices)) + "|" for head, cell in fields]
     lines += ["", "| Phase of Evaluation | Level of Evidence | Grade | Evidence |",
               "| --- | --- | --- | --- |"]
-    buckets, final = {bucket.level: bucket for bucket in result.all_buckets}, result.final_grade
+    buckets = {bucket.level: bucket for bucket in result.all_buckets}
     for levels, head in ladder:
         bucket = next((buckets[level] for level in levels if level in buckets), None)
         evidence = DIRECTION_LEGEND[bucket.direction] if bucket else ABSENT
-        if final in levels:
+        if result.final_grade in levels:
             evidence += " <== final grade"
-        lines.append(f"{head}| {evidence} |")
+        lines.append(head + _cell(evidence) + "|")
     lines += ["", "| Field | Value |", "| --- | --- |"]
     lines += [head + _cell(cell(result)) + "|" for head, cell in results]
     return "\n".join(lines) + "\n"

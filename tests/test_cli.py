@@ -645,8 +645,10 @@ class TestAppraisalErrors:
     @pytest.mark.parametrize("strictness", ["--strict", "--lenient"])
     def test_validate_lists_each_study_in_input_order(self, capsys, tmp_path, strictness):
         # validate appraises every gradable study under the corpus's own policy,
-        # as report --summary does, whether grading would reach it or not.
+        # as report --summary does, whether grading would reach it or not. The
+        # studies are reversed, so that input order is not id order.
         doc = json.loads((FIXTURES / "grasp8.json").read_text())
+        doc["studies"].reverse()
         ids = ("taylor-s1", "centor-s5")
         for study in doc["studies"]:
             if study["id"] in ids:
@@ -917,16 +919,20 @@ def test_edited_corpora_that_validate_never_break_the_cli(capsys, tmp_path):
     """A corpus ``validate --strict`` accepts is graded and reported (exit 0)
     by every command under its own policy; structured output parses as JSON,
     and each ``grade`` line starts with one of the corpus's tool ids and a
-    grade token."""
+    grade token. Where it rejects, each study path it prints is the input's
+    place of the study it names."""
     fixture = json.loads((FIXTURES / "grasp8.json").read_text())
     grades = {level.value for level in grasp.GradeLevel}
     path = tmp_path / "edited.json"
     accepted = 0
     for doc in _edited_corpora(fixture, 300):
+        doc["studies"].reverse()  # so that a study's place in the input is not its place by id
         path.write_text(json.dumps(doc))
         valid, _, err = run(capsys, "validate", "--strict", str(path))
         assert valid in (0, 1), err
         if valid:
+            for i, study_id in re.findall(r"\$\.studies\[(\d+)\]: study '([^']*)'", err):
+                assert doc["studies"][int(i)]["id"] == study_id, err
             continue
         accepted += 1
         tool_ids = {tool["id"] for tool in doc["tools"]}
