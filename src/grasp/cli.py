@@ -23,8 +23,10 @@ from typing import Iterator, Optional, Sequence, Union
 
 from . import corpus as corpus_io
 from .engine import appraise_study, assign_grade, compute_indices
-from .errors import ConsistencyError, GraspError, UnresolvableMatching, UnresolvableQuality
-from .model import AppraisalPolicy, GradeResult, ToolProfile
+from .errors import (
+    AdjudicationRequired, ConsistencyError, GraspError, UnresolvableMatching, UnresolvableQuality,
+)
+from .model import AppraisalPolicy, GradeResult, TieFallback, ToolProfile
 from .report import ReportFormat, grade_to_obj, render_detailed_report, render_evidence_summary
 
 gc.freeze()  # what the imports made lives until exit, so no collection (the one at exit too) walks it
@@ -241,6 +243,33 @@ def _cmd_survey(args: argparse.Namespace) -> int:
     return ExitStatus.OK
 
 
+def _grading_faults(data: bytes, corpus: corpus_io.Corpus) -> list[ConsistencyError]:
+    """What grading under the corpus's own policy fails on, at each record's place in the input:
+    studies that cannot be appraised, then tools whose mixed evidence ties under the failing fallback."""
+    studies, tools, policy = {}, {}, corpus.policy
+    for study in corpus.studies:
+        if study.is_gradable:
+            try:
+                appraise_study(study, policy)
+            except (UnresolvableMatching, UnresolvableQuality) as error:
+                studies[study.id] = str(error)
+    if policy.tie_fallback is TieFallback.FAIL_WITH_REVIEW_FLAG:
+        for tool in corpus.tools:
+            attached = corpus.studies_for(tool.id)
+            if not any(study.id in studies for study in attached):
+                try:
+                    assign_grade(tool, attached, policy)
+                except AdjudicationRequired as error:
+                    tools[tool.id] = str(error)
+    if not (studies or tools):
+        return []
+    # The corpus loaded, so each of its arrays holds each id once.
+    document = json.loads(data)
+    return [ConsistencyError(f"$.{kind}[{i}]", faults[record["id"]])
+            for kind, faults in (("studies", studies), ("tools", tools))
+            for i, record in enumerate(document[kind]) if record["id"] in faults]
+
+
 def _cmd_validate(args: argparse.Namespace) -> int:
     data = _read(args.corpus)
     corpus, errors, warnings = corpus_io.load_corpus(data, strict=args.strict)
@@ -248,19 +277,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         _warn(message)
     if not errors:
         assert corpus is not None
-        # Every gradable study must appraise under the corpus's policy, as a report needs.
-        failed = {}
-        for study in corpus.studies:
-            if study.is_gradable:
-                try:
-                    appraise_study(study, corpus.policy)
-                except (UnresolvableMatching, UnresolvableQuality) as error:
-                    failed[study.id] = str(error)
-        if failed:
-            # The corpus loaded, so its studies array holds each study id once.
-            for i, study in enumerate(json.loads(data)["studies"]):
-                if study["id"] in failed:
-                    errors.append(ConsistencyError(f"$.studies[{i}]", failed[study["id"]]))
+        errors = _grading_faults(data, corpus)
     if errors:
         for error in errors:
             print(f"{type(error).__name__}: {error}", file=sys.stderr)

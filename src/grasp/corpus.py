@@ -5,9 +5,8 @@ A corpus is a UTF-8 JSON document with top-level keys ``schema_version``,
 lowercase tokens (grade levels as ``"C1"``-style tokens); every token decodes
 case-insensitively, ignoring surrounding whitespace. A record's fields are
 checked in canonical key order, and the first bad field is the one reported.
-A list of tools or studies whose every key passes its checks across all the
-records at once is built in bulk; any other list is decoded record by record,
-so its errors and warnings read as before.
+Every record is decoded on its own, so a rejected record is listed at its path
+and the records after it are still checked.
 Canonical form fixes key order, sorts tools and studies by id, and indents
 with two spaces, so emitting is a fixed point and ``parse(emit(c)) == c`` for
 every valid corpus.
@@ -25,8 +24,7 @@ import sys
 from collections import Counter
 from dataclasses import MISSING, dataclass, fields
 from functools import cache, cached_property
-from itertools import chain, repeat
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import AbstractSet, Any, Callable, ClassVar, Mapping, Optional, Sequence
 
 from .errors import (
@@ -119,6 +117,7 @@ class _Collector:
 
 
 # --- typed accessors; every rejection names the offending field path ---
+# A scalar accessor also takes a codec's ``sink``, so it serves as its codec's ``decode``.
 
 
 class _Object(dict):
@@ -157,7 +156,7 @@ def _as_list(value: Any, path: str) -> list:
     return value
 
 
-def _as_str(value: Any, path: str) -> str:
+def _as_str(value: Any, path: str, sink: Optional[_Collector] = None) -> str:
     if not isinstance(value, str):
         raise SchemaError(path, f"expected a string, got {_type_name(value)}")
     # json.loads reads a lone surrogate escape such as "\ud800", which no
@@ -170,7 +169,7 @@ def _as_str(value: Any, path: str) -> str:
     return value
 
 
-def _as_tool_id(value: Any, path: str) -> str:
+def _as_tool_id(value: Any, path: str, sink: Optional[_Collector] = None) -> str:
     # A tool id is the first space-separated field of a ``grade`` line and
     # names a report file, so it is one printable word that no platform reads
     # as a path and that fits NAME_MAX (255 bytes) as ``.{id}.json.{pid}.tmp``.
@@ -186,7 +185,7 @@ def _as_tool_id(value: Any, path: str) -> str:
     return value
 
 
-def _as_bool(value: Any, path: str) -> bool:
+def _as_bool(value: Any, path: str, sink: Optional[_Collector] = None) -> bool:
     if not isinstance(value, bool):
         raise SchemaError(path, f"expected a boolean, got {_type_name(value)}")
     return value
@@ -210,48 +209,17 @@ def _check_unknown(obj: dict, allowed: AbstractSet[str], path: str, sink: _Colle
         sink.tolerable(SchemaError(f"{path}.{key}", "unknown field"), " ignored")
 
 
-# --- field codecs: a (decode, encode, column) triple per kind of JSON value ---
+# --- field codecs: a (decode, encode) pair per kind of JSON value ---
 #
 # ``decode(value, path, sink)`` returns the model value or raises a
 # CorpusError naming ``path``. ``encode(model_value)`` returns the JSON value,
 # or None to leave the key out; a None model value is never encoded.
-# ``column(values)`` decodes one key of many records, raising unless ``decode`` would accept each.
 
-_Codec = tuple[Callable[[Any, str, _Collector], Any], Callable[[Any], Any], Callable[[list], list]]
-_ABSENT = object()  # the value of a key a record does not hold
-
-
-class _Irregular(Exception):
-    """A column that only the per-record decoder can judge."""
-
-
-def _expect(ok: bool, values: list) -> list:
-    if not ok:
-        raise _Irregular
-    return values
-
-
-def _typed(values: list, *types: type) -> list:  # exact types: a bool is no int
-    return _expect(set(map(type, values)).issubset(types), values)
-
-
-def _str_column(values: list) -> list:
-    _as_str("".join(_typed(values, str)), "")  # a lone surrogate raises, as in each string
-    return values
-
-
-def _objects(values: list, keys: AbstractSet[str]) -> list:
-    """``values`` if each is a decoded JSON object that repeats no key and has none outside ``keys``."""
-    in_keys = all(map(keys.issuperset, _typed(values, _Object)))
-    return _expect(in_keys and not any(map(attrgetter("repeated"), values)), values)
+_Codec = tuple[Callable[[Any, str, _Collector], Any], Callable[[Any], Any]]
 
 
 def _same(value: Any) -> Any:
     return value
-
-
-def _scalar(type_check: Callable[[Any, str], Any], column: Callable) -> _Codec:
-    return (lambda value, path, sink: type_check(value, path)), _same, column
 
 
 def _number(noun: str, types: tuple[type, ...], low: float, word: str) -> _Codec:
@@ -270,37 +238,31 @@ def _number(noun: str, types: tuple[type, ...], low: float, word: str) -> _Codec
             raise SchemaError(path, f"must be {word}, got {value}")
         return value
 
-    def column(values: list) -> list:
-        # A chained comparison is False for NaN, which min() and max() would step over.
-        in_range = all(low <= v <= sys.float_info.max for v in _typed(values, *types))
-        return list(map(cast, _expect(in_range, values)))
-
-    return decode, _same, column
+    return decode, _same
 
 
 @cache
 def _enum(enum_cls) -> _Codec:
     """Tokens decode case-insensitively, ignoring surrounding whitespace."""
+    canonical = {member.value: member for member in enum_cls}
     members = _enum_tokens(enum_cls)
 
     def decode(value: Any, path: str, sink: _Collector):
+        if type(value) is str and value in canonical:  # the token as emitted
+            return canonical[value]
         token = _as_str(value, path).strip().lower()
         if token not in members:
             allowed = ", ".join(sorted(members))
             raise SchemaError(path, f"unknown token {value!r}; expected one of: {allowed}")
         return members[token]
 
-    def column(values: list) -> list:
-        tokens = {token: decode(token, "", None) for token in set(_typed(values, str))}
-        return list(map(tokens.__getitem__, values))
-
-    return decode, attrgetter("value"), column
+    return decode, attrgetter("value")
 
 
 def _enum_set(enum_cls, noun: Optional[str] = None) -> _Codec:
     """Tokens written in declaration order. With ``noun`` the set must name at
     least one member; without, an empty set is the default and is left out."""
-    decode_item, _, item_column = _enum(enum_cls)
+    decode_item, _ = _enum(enum_cls)
     order = {member: i for i, member in enumerate(enum_cls)}
 
     def decode(value: Any, path: str, sink: _Collector) -> frozenset:
@@ -316,12 +278,7 @@ def _enum_set(enum_cls, noun: Optional[str] = None) -> _Codec:
         tokens = [member.value for member in sorted(members, key=order.__getitem__)]
         return tokens if tokens or noun else None
 
-    def column(values: list) -> list:
-        items = list(set(_typed(list(chain.from_iterable(_typed(values, list))), str)))
-        members = dict(zip(items, item_column(items)))
-        return _expect(not noun or all(values), [frozenset(map(members.__getitem__, v)) for v in values])
-
-    return decode, encode, column
+    return decode, encode
 
 
 def _flags(keys: Sequence[str]) -> _Codec:
@@ -337,16 +294,10 @@ def _flags(keys: Sequence[str]) -> _Codec:
     def encode(flags: Mapping[str, bool]) -> Optional[dict[str, bool]]:
         return {key: flags[key] for key in keys if key in flags} or None
 
-    def column(values: list) -> list:
-        _typed(list(chain.from_iterable(map(dict.values, _objects(values, allowed)))), bool)
-        if all(order == tuple(filter(order.__contains__, keys)) for order in set(map(tuple, values))):
-            return list(map(dict, values))  # each map is in canonical key order
-        return [{key: obj[key] for key in keys if key in obj} for obj in values]
-
-    return decode, encode, column
+    return decode, encode
 
 
-_STR, _BOOL = _scalar(_as_str, _str_column), _scalar(_as_bool, lambda values: _typed(values, bool))
+_STR, _BOOL = (_as_str, _same), (_as_bool, _same)
 _INT = _number("an integer", (int,), -sys.float_info.max, "finite")
 _COUNT = _number("an integer", (int,), 0, "non-negative")
 _POSITIVE = _number("an integer", (int,), 1, "positive")
@@ -359,7 +310,7 @@ class _Field:
     """One JSON key of a record and the model attribute it fills."""
 
     def __init__(self, key: str, *codec: Callable, attr: Optional[str] = None):
-        self.key, (self.decode, self.encode, self.column), self.attr = key, codec, attr or key
+        self.key, (self.decode, self.encode), self.attr = key, codec, attr or key
 
 
 class _Table:
@@ -376,17 +327,15 @@ class _Table:
         self.plan = tuple((f.key, f.attr, f.decode, f.attr in required) for f in table_fields)
         self.encoders = tuple((f.key, f.encode) for f in table_fields)
         self.values = attrgetter(*(f.attr for f in table_fields))
-        # In attribute order, as __init__ fills __dict__; a required key's default is None.
-        by_attr = {f.attr: f for f in table_fields}
-        self.attrs = tuple(f.name for f in fields(model))
-        self.columns = tuple((by_attr[f.name].key, by_attr[f.name].column, None if f.name in required
-                              else f.default_factory if f.default is MISSING else (lambda d=f.default: d))
-                             for f in fields(model))
+        # A record's __dict__ in model order, as __init__ fills it; decoding replaces each MISSING.
+        self.template = {f.name: f.default for f in fields(model)}
+        self.factories = tuple((f.name, f.default_factory) for f in fields(model)
+                               if f.default_factory is not MISSING)
 
 
 _TOOL_TABLE = _Table(
     ToolProfile,
-    _Field("id", *_scalar(_as_tool_id, lambda values: [_as_tool_id(v, "") for v in values])),
+    _Field("id", _as_tool_id, _same),
     _Field("name", *_STR),
     _Field("author", *_STR),
     _Field("country", *_STR),
@@ -442,40 +391,22 @@ _POLICY_TABLE = _Table(
 
 
 def _decode_record(value: Any, path: str, table: _Table, sink: _Collector):
-    """Unknown keys go to the sink; the first missing or bad field, in
-    canonical key order, raises. Absent optional keys take the model's
-    default."""
+    """Unknown keys go to the sink; the first missing or bad field, in canonical key
+    order, raises. Absent optional keys take the model's default. The record is built
+    without ``__init__``, holding what ``__init__`` would store, in the same order."""
     obj = _as_obj(value, path)
     _check_unknown(obj, table.keys, path, sink)
-    values = {}
+    values = table.template.copy()
+    for attr, factory in table.factories:
+        values[attr] = factory()
     for key, attr, decode, required in table.plan:
         if key in obj:
             values[attr] = decode(obj[key], f"{path}.{key}", sink)
         elif required:
             _require(obj, key, path)  # raises: the key is absent
-    return table.model(**values)
-
-
-def _decode_columns(raw: list, table: _Table) -> Optional[list]:
-    """The records of ``raw``, built without ``__init__``; None if one might be rejected or warned about."""
-    try:
-        _objects(raw, table.keys)
-        columns = []
-        for key, column, default in table.columns:
-            if default is None:  # a required key; a record without it raises KeyError
-                columns.append(column(list(map(itemgetter(key), raw))))
-                continue
-            values = list(map(dict.get, raw, repeat(key), repeat(_ABSENT)))
-            present = [value for value in values if value is not _ABSENT]
-            decoded = iter(column(present))
-            columns.append(decoded if len(present) == len(values) else
-                           [default() if value is _ABSENT else next(decoded) for value in values])
-    except (_Irregular, CorpusError, KeyError):
-        return None
-    records = list(map(object.__new__, repeat(table.model, len(raw))))
-    for record, row in zip(records, zip(*columns)):
-        record.__dict__.update(zip(table.attrs, row))
-    return records
+    record = object.__new__(table.model)
+    record.__dict__.update(values)
+    return record
 
 
 def _encode_record(table: _Table, record: Any) -> dict:
@@ -591,11 +522,10 @@ def _decode_list(raw: list, path: str, table: _Table, id_key: str, sink: _Collec
                  check: Callable[[Any, str], None]) -> tuple[list[tuple[str, Any]], set[str]]:
     """Records of ``raw`` that decode and pass ``check``, with paths; the ``id_key`` strings of the rest."""
     records, failed = [], set()
-    decoded = _decode_columns(raw, table) or [None] * len(raw)
     for i, value in enumerate(raw):
         where = f"{path}[{i}]"
         try:
-            record = decoded[i] or _decode_record(value, where, table, sink)
+            record = _decode_record(value, where, table, sink)
             check(record, where)
             records.append((where, record))
         except CorpusError as exc:

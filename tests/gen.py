@@ -201,6 +201,20 @@ def random_corpus(rng: random.Random, max_tools: int = 3) -> Corpus:
     )
 
 
+def wide_corpus(rng: random.Random, n_tools: int) -> Corpus:
+    """Many tools with a few studies each, in generation order, as the benchmark's
+    wide workload builds them."""
+    tools: list[ToolProfile] = []
+    studies: list[StudyRecord] = []
+    counter = 0
+    for index in range(n_tools):
+        tool = random_tool(rng, index)
+        tool_studies, counter = random_tool_studies(rng, tool, counter)
+        tools.append(replace(tool, studies_count=len(tool_studies)))
+        studies.extend(tool_studies)
+    return Corpus(tools=tuple(tools), studies=tuple(studies))
+
+
 def strip_overrides(rng: random.Random, corpus: Corpus) -> Corpus:
     """Drop the appraiser overrides of a random share of studies.
 

@@ -15,11 +15,12 @@ import pytest
 import grasp
 import grasp.engine
 from grasp.cli import build_parser, main
-from grasp.corpus import _STUDY_TABLE, _TOOL_TABLE, emit_corpus, load_corpus
+from grasp.corpus import _STUDY_TABLE, _TOOL_TABLE, emit_corpus, load_corpus, parse_corpus
 from grasp.engine import assign_grade
-from grasp.model import AppraisalPolicy
+from grasp.errors import AdjudicationRequired
+from grasp.model import AppraisalPolicy, TieFallback
 from conftest import FIXTURES
-from gen import random_corpus, strip_overrides
+from gen import random_corpus, strip_overrides, wide_corpus
 
 CORPUS = str(FIXTURES / "grasp8.json")
 R1 = str(FIXTURES / "raters" / "r1.csv")
@@ -665,6 +666,64 @@ class TestAppraisalErrors:
         doc["policy"] = {"quality_rule": "majority_of_flags"}
         path.write_text(json.dumps(doc))
         assert run(capsys, "validate", strictness, str(path)) == (0, "OK: 8 tools, 30 studies\n", "")
+
+
+class TestFullTies:
+    """Under ``"tie_fallback": "fail_with_review_flag"`` grading fails on a full
+    tie, so validate grades each tool whose studies all appraise and lists each
+    tie at the tool's place in the input."""
+
+    def test_validate_lists_every_tool_that_grading_rejects(self, capsys, tmp_path):
+        doc = json.loads(emit_corpus(wide_corpus(random.Random(1), 400)))
+        doc["tools"].reverse()  # so that a tool's place in the input is not its place by id
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc))
+        assert run(capsys, "validate", str(path)) == (0, "OK: 400 tools, 2480 studies\n", "")
+        doc["policy"] = {"tie_fallback": "fail_with_review_flag"}
+        path.write_text(json.dumps(doc))
+        corpus, expected = parse_corpus(path.read_bytes()), []
+        for i, tool in enumerate(doc["tools"]):
+            try:
+                assign_grade(corpus.tool(tool["id"]), corpus.studies_for(tool["id"]), corpus.policy)
+            except AdjudicationRequired as exc:
+                expected.append(f"ConsistencyError: $.tools[{i}]: {exc}\n")
+        assert len(expected) == 45
+        assert run(capsys, "validate", str(path)) == (1, "", "".join(expected))
+        assert run(capsys, "grade", str(path))[0] == 1
+
+    def test_a_tool_with_an_unappraisable_study_is_listed_at_the_study(self, capsys, tmp_path):
+        doc = json.loads(emit_corpus(wide_corpus(random.Random(1), 400)))
+        doc["policy"] = {"tie_fallback": "fail_with_review_flag"}
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc))
+        _, _, err = run(capsys, "validate", str(path))
+        tied = doc["tools"][int(re.match(r"ConsistencyError: \$\.tools\[(\d+)\]", err)[1])]["id"]
+        i, study = next((i, s) for i, s in enumerate(doc["studies"])
+                        if s["tool_id"] == tied and "quality_override" in s)
+        del study["quality_override"]
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "validate", str(path))
+        lines = err.splitlines()
+        assert code == 1 and len(lines) == 45
+        assert lines[0] == (f"ConsistencyError: $.studies[{i}]: study {study['id']!r}:"
+                            " no quality override and policy is override_only")
+        assert not any(f"tool {tied!r}" in line for line in lines)
+
+    def test_random_corpora_that_validate_grade_and_report(self, capsys, tmp_path):
+        path = tmp_path / "corpus.json"
+        outcomes = {0: 0, 1: 0}
+        for seed in range(200):
+            corpus = random_corpus(random.Random(seed))
+            policy = replace(corpus.policy, tie_fallback=TieFallback.FAIL_WITH_REVIEW_FLAG)
+            path.write_bytes(emit_corpus(replace(corpus, policy=policy)))
+            code, _, err = run(capsys, "validate", str(path))
+            outcomes[code] += 1
+            if code == 0:
+                for argv in (("grade",), ("report", "--summary")):
+                    assert run(capsys, *argv, str(path))[0] == 0, (seed, argv)
+            else:
+                assert "$.tools[" in err, (seed, err)
+        assert outcomes[0] > 100 and outcomes[1] > 20, outcomes
 
 
 class TestReportContainment:

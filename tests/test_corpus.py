@@ -12,6 +12,7 @@ import subprocess
 import sys
 import types
 from dataclasses import replace
+from enum import Enum
 from pathlib import Path
 
 import pytest
@@ -60,7 +61,7 @@ from grasp.model import (
     ToolProfile,
 )
 from conftest import FIXTURES
-from gen import random_corpus, random_tool, random_tool_studies
+from gen import random_corpus, wide_corpus
 from test_cli import _awkward_corpora, _edited_corpora
 
 EMPTY = b'{"schema_version": "grasp-corpus/1", "tools": [], "studies": []}'
@@ -737,8 +738,8 @@ class TestFuzz:
                 assert reparsed == corpus and emit_corpus(reparsed) == emitted
 
 
-#: Values each key of a record takes in the bulk/per-record comparison.
-BULK_EXTREMES = (0, 1, -1, 10**300, 10**400, -10**400, 1e308, -1e308, -0.0, float("nan"),
+#: Values each key of a record takes in the pinned decode outcomes.
+EXTREME_VALUES = (0, 1, -1, 10**300, 10**400, -10**400, 1e308, -1e308, -0.0, float("nan"),
                  float("inf"), float("-inf"), "", "a|b\nc", None, True, False, [], {}, 2.5, " c1 ",
                  "\u00e9t\u00e9", "\ud800")
 
@@ -750,7 +751,7 @@ def _one_key_edits():
     for kind, indices, table in (("tools", (0, 6), _TOOL_TABLE), ("studies", (0, pecarn), _STUDY_TABLE)):
         for index in indices:
             for key in sorted(table.keys):
-                for value in BULK_EXTREMES:
+                for value in EXTREME_VALUES:
                     doc = json.loads(FIXTURE_TEXT)
                     doc[kind][index][key] = value
                     yield doc
@@ -776,73 +777,71 @@ def _shuffled(rng: random.Random, obj: dict) -> dict:
     return dict(items)
 
 
-def _wide_corpus(seed: int, n_tools: int) -> Corpus:
-    """A corpus built as the benchmark's wide workload builds it."""
-    rng, tools, studies, counter = random.Random(seed), [], [], 0
-    for index in range(n_tools):
-        tool = random_tool(rng, index)
-        tool_studies, counter = random_tool_studies(rng, tool, counter)
-        tools.append(replace(tool, studies_count=len(tool_studies)))
-        studies.extend(tool_studies)
-    return Corpus(tools=tuple(tools), studies=tuple(studies))
-
-
-#: Inputs of the comparison, by name; each yields JSON documents.
-BULK_INPUTS = {
+#: Input families of the pinned decode outcomes, by name; each yields JSON documents.
+DECODE_INPUTS = {
     "edited": lambda: map(json.dumps, _edited_corpora(json.loads(FIXTURE_TEXT), 1500)),
     "awkward-keys": lambda: map(json.dumps, _awkward_corpora(json.loads(FIXTURE_TEXT), 10)),
     "one-key-extremes": lambda: map(json.dumps, _one_key_edits()),
     "shuffled-keys": lambda: map(json.dumps, _shuffled_keys(20)),
     "random": lambda: (emit_corpus(random_corpus(random.Random(seed), 6)) for seed in range(300)),
-    "wide": lambda: [emit_corpus(_wide_corpus(1, 400))],
+    "wide": lambda: [emit_corpus(wide_corpus(random.Random(1), 400))],
 }
 
 
-def _outcome(data, strict: bool):
-    """What ``load_corpus`` returns, with each record's attributes in order
-    (a flag map's keys in order too) and each error as its type and text."""
+def _plain(value):
+    """A decoded value as JSON that no hash seed reorders: an enum as its class
+    and name, a frozenset sorted, a map as its items in order."""
+    if isinstance(value, Enum):
+        return f"{type(value).__name__}.{value.name}"
+    if isinstance(value, frozenset):
+        return sorted(map(_plain, value))
+    if isinstance(value, dict):
+        return [[key, _plain(item)] for key, item in value.items()]
+    return value
+
+
+def decode_outcome(data, strict: bool) -> list:
+    """What ``load_corpus`` returns: each record's attributes in order (a flag
+    map's keys in order too), each error as its type and text, and the warnings."""
     corpus, errors, warnings = load_corpus(data, strict=strict)
     records = None if corpus is None else [
-        [(attr, list(value.items()) if isinstance(value, dict) else value)
-         for attr, value in vars(record).items()]
-        for record in (*corpus.tools, *corpus.studies)
+        [[attr, _plain(value)] for attr, value in vars(record).items()]
+        for record in (*corpus.tools, *corpus.studies, corpus.policy)
     ]
-    return corpus, records, [(type(e).__name__, str(e)) for e in errors], warnings
+    return [records, [[type(e).__name__, str(e)] for e in errors], warnings]
 
 
-class TestBulkDecode:
-    """A list of records that passes every column check is built in bulk;
-    any other is decoded record by record. Both must give the same result."""
+def decode_outcomes(source: str) -> list:
+    """The outcome of every document of one family, strict then lenient."""
+    return [decode_outcome(data, strict) for data in DECODE_INPUTS[source]() for strict in (True, False)]
 
-    @pytest.mark.parametrize("source", BULK_INPUTS)
-    def test_bulk_and_per_record_decoding_agree(self, source, monkeypatch):
-        documents = list(BULK_INPUTS[source]())
-        bulk = [_outcome(data, strict) for data in documents for strict in (True, False)]
-        monkeypatch.setattr(grasp.corpus, "_decode_columns", lambda raw, table: None)
-        per_record = [_outcome(data, strict) for data in documents for strict in (True, False)]
-        assert len(bulk) == len(per_record) == 2 * len(documents)
-        for i, (got, expected) in enumerate(zip(bulk, per_record)):
-            assert got == expected, (source, i // 2)
 
-    def test_valid_corpora_take_the_bulk_path(self, monkeypatch, corpus8_bytes):
-        decode_record, tables = grasp.corpus._decode_record, []
+def test_an_explicit_null_is_no_absent_key(corpus8_bytes):
+    doc = _doc(corpus8_bytes)
+    doc["studies"][0]["notes"] = None
+    _, errors, _ = load_corpus(json.dumps(doc))
+    assert [str(e) for e in errors] == ["$.studies[0].notes: expected a string, got NoneType"]
 
-        def spy(value, path, table, sink):
-            tables.append(table)
-            return decode_record(value, path, table, sink)
 
-        monkeypatch.setattr(grasp.corpus, "_decode_record", spy)
-        for data in (corpus8_bytes, emit_corpus(random_corpus(random.Random(7), 6))):
-            corpus, errors, _ = load_corpus(data)
-            assert corpus is not None and not errors
-        assert _TOOL_TABLE not in tables and _STUDY_TABLE not in tables
-        # An explicit null is no absent key: the studies go record by record.
-        doc = _doc(corpus8_bytes)
-        doc["studies"][0]["notes"] = None
-        _, errors, _ = load_corpus(json.dumps(doc))
-        assert [str(e) for e in errors] == ["$.studies[0].notes: expected a string, got NoneType"]
-        assert tables.count(_STUDY_TABLE) == len(doc["studies"])
-        assert _TOOL_TABLE not in tables
+def _hash_or_error(record):
+    try:
+        return hash(record)
+    except TypeError as exc:  # a study holds its flags in dicts
+        return str(exc)
+
+
+def test_decoded_records_equal_records_built_by_init(corpus8_bytes):
+    """Decoding builds records without ``__init__``; they are the records ``__init__`` builds."""
+    for data in (corpus8_bytes, *(emit_corpus(random_corpus(random.Random(seed))) for seed in range(50))):
+        corpus = parse_corpus(data)
+        for record in (*corpus.tools, *corpus.studies, corpus.policy):
+            built = type(record)(**vars(record))
+            assert record == built and repr(record) == repr(built)
+            assert _hash_or_error(record) == _hash_or_error(built)
+            assert list(vars(record)) == list(vars(built))
+            assert pickle.dumps(record) == pickle.dumps(built)
+        flag_maps = [flags for s in corpus.studies for flags in (s.matching_fields, s.quality_fields)]
+        assert len(set(map(id, flag_maps))) == len(flag_maps)
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])

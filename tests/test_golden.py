@@ -3,10 +3,12 @@
 ``golden_digests.json`` holds one digest per case. A CLI case digests the
 exit code, stdout, stderr and every file the command wrote; a grade case
 digests a canonical projection of ``assign_grade`` results (or the error
-type and message) over a slice of seeded random corpora. Refactors must
-reproduce every digest. After a deliberate output change, regenerate the
-file with ``PYTHONPATH=src python tests/test_golden.py`` and review why each
-changed digest changed.
+type and message) over a slice of seeded random corpora; a decode case
+digests what ``load_corpus`` returns, strict and lenient, for one family of
+corpus documents (``test_corpus.DECODE_INPUTS``). Refactors must reproduce
+every digest. After a deliberate output change, regenerate the file with
+``PYTHONPATH=src python tests/test_golden.py`` and review why each changed
+digest changed.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from gen import random_corpus, strip_overrides
 from grasp.cli import main
 from grasp.engine import assign_grade
 from grasp.errors import GraspError
+from test_corpus import DECODE_INPUTS, decode_outcomes
 
 DIGESTS = Path(__file__).resolve().parent / "golden_digests.json"
 
@@ -287,7 +290,8 @@ def compute_digests() -> dict:
         _grade_key(chunk): _digest([grade_outcomes(seed) for seed in _chunk_seeds(chunk)])
         for chunk in _GRADE_CHUNKS
     }
-    return {"cli": cli, "grades": grades}
+    decode = {source: _digest(decode_outcomes(source)) for source in DECODE_INPUTS}
+    return {"cli": cli, "grades": grades, "decode": decode}
 
 
 @pytest.fixture(scope="module")
@@ -306,9 +310,15 @@ def test_grade_outcomes_unchanged(chunk, golden):
     assert _digest(outcomes) == golden["grades"][_grade_key(chunk)]
 
 
+@pytest.mark.parametrize("source", DECODE_INPUTS)
+def test_decode_outcomes_unchanged(source, golden):
+    assert _digest(decode_outcomes(source)) == golden["decode"][source]
+
+
 def test_every_case_has_a_digest(golden):
     assert sorted(golden["cli"]) == sorted(_cli_cases())
     assert sorted(golden["grades"]) == sorted(_grade_key(c) for c in _GRADE_CHUNKS)
+    assert sorted(golden["decode"]) == sorted(DECODE_INPUTS)
 
 
 def test_random_corpora_reach_every_grading_error():
