@@ -330,6 +330,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if hasattr(sys.stdout, "reconfigure"):
         sys.stdout.reconfigure(encoding="utf-8")
     args = build_parser().parse_args(argv)
+    # A command's objects live until it returns and decoded JSON holds no cycle,
+    # so a collection during a command would walk a growing heap to free little.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return int(args.func(args))
     except (GraspError, OSError) as exc:
@@ -338,6 +342,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except Exception as exc:  # pragma: no cover - invariant breach
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return ExitStatus.INTERNAL
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -17,7 +17,6 @@ Rater grade sheets and survey response sheets are flat CSV files.
 from __future__ import annotations
 
 import csv
-import gc
 import io
 import json
 import sys
@@ -542,18 +541,9 @@ def load_corpus(
 
     Returns ``(corpus, errors, warnings)``; ``corpus`` is None whenever any
     error was recorded. Arbitrary byte input never raises, it only yields
-    typed errors in the list.
+    typed errors in the list. The garbage collector is left as the caller set
+    it; ``grasp.cli.main`` runs each command with it off.
     """
-    enabled = gc.isenabled()
-    gc.disable()  # decoded JSON holds no reference cycle for a collection to find
-    try:
-        return _load(data, strict)
-    finally:
-        if enabled:
-            gc.enable()
-
-
-def _load(data: bytes | str, strict: bool) -> tuple[Optional[Corpus], list[CorpusError], list[str]]:
     sink = _Collector(strict)
     try:
         text = data.decode("utf-8") if isinstance(data, bytes) else data

@@ -328,11 +328,6 @@ def _flag(record: Mapping[str, bool], key: str) -> str:
     return _yesno(record[key])
 
 
-def _labels(record: StudyRecord) -> str:
-    ordered = sorted(record.labels, key=list(OutcomeLabel).index)
-    return ", ".join(label.display for label in ordered) or ABSENT
-
-
 #: Evidence-summary columns, one row per study: (column, cell(record, appraisal)).
 SUMMARY_TABLE = (
     ("Study", lambda record, _: record.citation),
@@ -354,7 +349,7 @@ SUMMARY_TABLE = (
     ("Matching of Evidence", lambda _, appraisal: MATCHING_TOKENS[appraisal.matching]),
     ("Quality of Evidence", lambda _, appraisal: QUALITY_TOKENS[appraisal.quality]),
     ("Strength of Evidence", lambda _, appraisal: STRENGTH_TOKENS[appraisal.strength]),
-    ("Label", lambda record, _: _labels(record)),
+    ("Label", lambda record, _: _enum_list(record.labels, OutcomeLabel)),
     ("Notes", lambda record, _: _opt(record.notes)),
 )
 

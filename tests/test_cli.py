@@ -1,18 +1,22 @@
 from __future__ import annotations
 
 import ast
+import gc
 import json
 import os
 import random
 import re
 import subprocess
 import sys
+import types
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import grasp
+import grasp.cli
+import grasp.corpus
 import grasp.engine
 from grasp.cli import build_parser, main
 from grasp.corpus import _STUDY_TABLE, _TOOL_TABLE, emit_corpus, load_corpus, parse_corpus
@@ -1054,6 +1058,65 @@ class TestInternalErrors:
         assert code == 3
         assert out == ""
         assert err == "internal error: KeyError: 'bug'\n"
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_each_command_runs_with_the_collector_off(enabled, capsys, monkeypatch, tmp_path, corpus8_bytes):
+    """main owns the collector policy: a command runs with the cyclic collector
+    off, and the caller's setting is back however the command ends. A usage
+    error never touches the collector, nor does load_corpus called directly."""
+    seen, touched = [], []
+
+    def loads(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return json.loads(*args, **kwargs)
+
+    def spy(name):
+        def call():
+            touched.append(name)
+            return getattr(gc, name)()
+        return call
+
+    def broken(*_):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(grasp.corpus, "json", types.SimpleNamespace(
+        loads=loads, dumps=json.dumps, JSONDecodeError=json.JSONDecodeError,
+    ))
+    monkeypatch.setattr(grasp.cli, "gc", types.SimpleNamespace(
+        **{name: spy(name) for name in ("isenabled", "enable", "disable")}
+    ))
+    rejected = tmp_path / "rejected.json"
+    rejected.write_bytes(b'{"schema_version": "grasp-corpus/1", "tools": [{}], "studies": []}')
+    commands = (
+        (["grade", CORPUS], 0),
+        (["validate", str(rejected)], 1),
+        (["grade", str(rejected)], 1),
+        (["report", CORPUS, "--tool", "centor"], 3),
+    )
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        for argv, expected in commands:
+            seen.clear()
+            with monkeypatch.context() as patch:
+                if expected == 3:
+                    patch.setattr("grasp.cli.render_detailed_report", broken)
+                assert run(capsys, *argv)[0] == expected
+            assert seen and not any(seen), argv
+            assert gc.isenabled() is enabled
+        touched.clear()
+        with pytest.raises(SystemExit) as exc:
+            main(["grade", CORPUS, "--frobnicate"])
+        assert exc.value.code == 2
+        assert touched == [] and gc.isenabled() is enabled
+        seen.clear()
+        for data in (corpus8_bytes, b'{"tools": [', rejected.read_bytes()):
+            load_corpus(data)
+            assert gc.isenabled() is enabled
+        assert seen == [enabled] * 3
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 class TestUsageErrors:

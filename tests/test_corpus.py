@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-import gc
 import json
 import os
 import pickle
@@ -10,7 +9,6 @@ import random
 import shutil
 import subprocess
 import sys
-import types
 from dataclasses import replace
 from enum import Enum
 from pathlib import Path
@@ -19,7 +17,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import grasp.corpus
 from grasp.corpus import (
     _POLICY_TABLE,
     _STUDY_TABLE,
@@ -842,35 +839,6 @@ def test_decoded_records_equal_records_built_by_init(corpus8_bytes):
             assert pickle.dumps(record) == pickle.dumps(built)
         flag_maps = [flags for s in corpus.studies for flags in (s.matching_fields, s.quality_fields)]
         assert len(set(map(id, flag_maps))) == len(flag_maps)
-
-
-@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
-def test_load_pauses_the_collector_and_restores_its_state(enabled, monkeypatch, corpus8_bytes):
-    """Decoded JSON holds no cycle, so the cyclic collector is paused while a
-    corpus loads, and left as the caller had it however the load ends."""
-    paused = []
-
-    def loads(*args, **kwargs):
-        paused.append(not gc.isenabled())
-        return json.loads(*args, **kwargs)
-
-    monkeypatch.setattr(grasp.corpus, "json", types.SimpleNamespace(
-        loads=loads, dumps=json.dumps, JSONDecodeError=json.JSONDecodeError,
-    ))
-    rejected = b'{"schema_version": "grasp-corpus/1", "tools": [{}], "studies": []}'
-    was = gc.isenabled()
-    try:
-        (gc.enable if enabled else gc.disable)()
-        for data, ok in ((corpus8_bytes, True), (b'{"tools": [', False), (rejected, False)):
-            corpus, errors, _ = load_corpus(data)
-            assert (corpus is not None, not errors) == (ok, ok)
-            assert gc.isenabled() is enabled
-        with pytest.raises(SchemaError):
-            parse_corpus(rejected)
-        assert gc.isenabled() is enabled
-    finally:
-        (gc.enable if was else gc.disable)()
-    assert paused == [True] * 4
 
 
 class TestEnumTokens:

@@ -3,9 +3,13 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from grasp.corpus import emit_corpus, parse_corpus
 from grasp.engine import (
     AppraisalPolicy,
     MatchingRule,
@@ -37,15 +41,18 @@ from grasp.model import (
     BucketDirection,
     EvidenceClass,
     GradeLevel,
+    GradeResult,
     MatchingVerdict,
     OutcomeLabel,
     QualityVerdict,
     StrengthVerdict,
     StudyDirection,
+    StudyType,
+    external_validation_level,
     ordinal_rank,
 )
 from conftest import AUTHOR_GRADES
-from gen import random_corpus, random_policy, strip_overrides
+from gen import _TYPE_FOR_LEVEL, random_corpus, random_policy, random_study, strip_overrides
 from oracles import (
     E,
     N,
@@ -66,6 +73,10 @@ DEFAULT = AppraisalPolicy()
 IGNORE_MISSING = AppraisalPolicy(matching_rule=MatchingRule.IGNORE_MISSING)
 MAJORITY = AppraisalPolicy(quality_rule=QualityRule.MAJORITY_OF_FLAGS)
 FAILING = AppraisalPolicy(tie_fallback=TieFallback.FAIL_WITH_REVIEW_FLAG)
+#: Every AppraisalPolicy: the product of its three rules.
+ALL_POLICIES = [
+    AppraisalPolicy(*rules) for rules in itertools.product(MatchingRule, QualityRule, TieFallback)
+]
 
 
 def _matching_record(flags, override=None):
@@ -298,11 +309,7 @@ class TestMixedProtocol:
         assert cases == 573  # every mixed multiset of <=5 with a strict A-majority
 
 
-@pytest.mark.parametrize(
-    "policy",
-    [AppraisalPolicy(*rules) for rules in itertools.product(MatchingRule, QualityRule, TieFallback)],
-    ids=lambda policy: policy.fingerprint(),
-)
+@pytest.mark.parametrize("policy", ALL_POLICIES, ids=lambda policy: policy.fingerprint())
 def test_mixed_buckets_keep_the_appraisals_of_their_studies(policy):
     # Oracle: a mixed bucket holds each study's appraisal in study order; a
     # unanimous bucket and B1 hold none. Stripped overrides make the policy matter.
@@ -657,3 +664,91 @@ def test_monotonicity_spot_check():
         after_studies = studies + [make_study("appended", level, P, cls)]
         after = ordinal_rank(assign_grade(TOOL, after_studies).final_grade)
         assert after >= before
+
+
+#: The level of an added study; None adds one more external validation.
+ADDED_LEVELS = (None, *_TYPE_FOR_LEVEL)
+
+
+def _outcome(tool, studies, policy):
+    """The grade of a tool, or the type and text of the error that stops it."""
+    try:
+        return assign_grade(tool, studies, policy)
+    except GraspError as exc:
+        return type(exc), str(exc)
+
+
+def _graded_corpus(rng, stripped):
+    corpus = random_corpus(rng)
+    return strip_overrides(rng, corpus) if stripped else corpus
+
+
+class TestMetamorphicRelations:
+    """Relations between the grades of a generated corpus before and after one
+    edit, under every policy; an edit that makes either grading fail is not
+    compared, except where the relation says it changes nothing."""
+
+    SEEDS = st.integers(0, 2**32 - 1).map(random.Random)
+    EXAMPLES = settings(derandomize=True, database=None, max_examples=300, deadline=None)
+
+    @staticmethod
+    def _add_study(rng, tool, studies, level, direction):
+        external = sum(s.study_type is StudyType.EXTERNAL_VALIDATION for s in studies)
+        if level is None:
+            level, study_type = external_validation_level(external + 1), StudyType.EXTERNAL_VALIDATION
+        else:
+            study_type = _TYPE_FOR_LEVEL[level]
+        added = random_study(rng, tool, f"{tool.id}-added", level, study_type)
+        return [*studies, replace(added, direction=direction)], external
+
+    @EXAMPLES
+    @given(SEEDS, st.booleans(), st.sampled_from(ADDED_LEVELS))
+    def test_adding_a_positive_study_never_lowers_a_grade(self, rng, stripped, level):
+        corpus = _graded_corpus(rng, stripped)
+        for tool in corpus.tools:
+            studies = corpus.studies_for(tool.id)
+            more, _ = self._add_study(rng, tool, studies, level, StudyDirection.POSITIVE)
+            for policy in ALL_POLICIES:
+                before, after = _outcome(tool, studies, policy), _outcome(tool, more, policy)
+                if not (isinstance(before, GradeResult) and isinstance(after, GradeResult)):
+                    continue
+                assert ordinal_rank(after.final_grade) >= ordinal_rank(before.final_grade), policy
+
+    @EXAMPLES
+    @given(SEEDS, st.booleans(), st.sampled_from(ADDED_LEVELS),
+           st.sampled_from([StudyDirection.NEGATIVE, StudyDirection.EQUIVOCAL]))
+    def test_adding_a_negative_or_equivocal_study_never_raises_a_grade(self, rng, stripped, level, direction):
+        # The one exception the README states: a second external validation,
+        # whatever its conclusion, re-levels a lone C2 validation to C1.
+        corpus = _graded_corpus(rng, stripped)
+        for tool in corpus.tools:
+            studies = corpus.studies_for(tool.id)
+            more, external = self._add_study(rng, tool, studies, level, direction)
+            for policy in ALL_POLICIES:
+                before, after = _outcome(tool, studies, policy), _outcome(tool, more, policy)
+                if not (isinstance(before, GradeResult) and isinstance(after, GradeResult)):
+                    continue
+                if ordinal_rank(after.final_grade) > ordinal_rank(before.final_grade):
+                    assert level is None and external == 1, policy
+                    assert (before.final_grade, after.final_grade) == (GradeLevel.C2, GradeLevel.C1)
+
+    @EXAMPLES
+    @given(SEEDS, st.booleans())
+    def test_a_metadata_only_record_changes_nothing_but_the_study_count(self, rng, stripped):
+        corpus = _graded_corpus(rng, stripped)
+        for tool in corpus.tools:
+            studies = corpus.studies_for(tool.id)
+            record = random_study(rng, tool, f"{tool.id}-added", None, StudyType.DEVELOPMENT)
+            counted = replace(tool, studies_count=tool.studies_count + 1)
+            for policy in ALL_POLICIES:
+                assert _outcome(counted, [*studies, record], policy) == _outcome(tool, studies, policy)
+
+    @EXAMPLES
+    @given(SEEDS, st.booleans())
+    def test_an_emitted_corpus_grades_the_same(self, rng, stripped):
+        corpus = _graded_corpus(rng, stripped)
+        emitted = parse_corpus(emit_corpus(corpus))
+        for tool in corpus.tools:
+            for policy in ALL_POLICIES:
+                assert _outcome(emitted.tool(tool.id), emitted.studies_for(tool.id), policy) == \
+                    _outcome(tool, corpus.studies_for(tool.id), policy)
