@@ -154,7 +154,7 @@ def _write_reports(
     files = []
     for tool, document in _documents(args, corpus, graded):
         if layout is ReportFormat.STRUCTURED:
-            document = json.dumps(document, indent=2, ensure_ascii=False) + "\n"
+            document = corpus_io.json_text(document)
         files.append((directory / f"{tool.id}{suffix}", document))
     directory.mkdir(parents=True, exist_ok=True)
     for path, text in files:
@@ -176,7 +176,7 @@ def _write_atomically(path: Path, text: str) -> None:
 def _cmd_grade(args: argparse.Namespace) -> int:
     corpus, graded = _grade_selected(args)
     if args.format == "structured":
-        print(json.dumps([grade_to_obj(r) for _, r in graded], indent=2))
+        print(corpus_io.json_text([grade_to_obj(r) for _, r in graded]), end="")
     else:
         for _, result in graded:
             print(_grade_line(result))
@@ -192,7 +192,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         return ExitStatus.OK
     documents = [document for _, document in _documents(args, corpus, graded)]
     if ReportFormat(args.layout) is ReportFormat.STRUCTURED:
-        print(json.dumps(documents if args.tool is None else documents[0], indent=2))
+        print(corpus_io.json_text(documents if args.tool is None else documents[0]), end="")
     else:
         print("\n".join(documents), end="")
     return ExitStatus.OK
@@ -220,8 +220,8 @@ def _cmd_raters(args: argparse.Namespace) -> int:
     )
     n = len(tool_ids)
     if args.format == "structured":
-        print(json.dumps({"rater_a": name_a, "rater_b": name_b, "n": n, **comparison._asdict()},
-                         indent=2))
+        document = {"rater_a": name_a, "rater_b": name_b, "n": n, **comparison._asdict()}
+        print(corpus_io.json_text(document), end="")
     else:
         print(
             f"rho={comparison.rho:.3f}"
@@ -236,7 +236,7 @@ def _cmd_survey(args: argparse.Namespace) -> int:
     responses = corpus_io.parse_survey_sheet(_read(args.responses))
     summaries = stats.summarize_survey(responses) + [stats.overall_summary(responses)]
     if args.format == "structured":
-        print(json.dumps([{**s._asdict(), "label": s.label.display} for s in summaries], indent=2))
+        print(corpus_io.json_text([{**s._asdict(), "label": s.label.display} for s in summaries]), end="")
     else:
         for summary in summaries:
             print(f"{summary.question_id}\t{summary.mean_score:.2f}\t{summary.label.display}")

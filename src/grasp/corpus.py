@@ -624,6 +624,11 @@ def study_to_obj(study: StudyRecord) -> dict:
     return _encode_record(_STUDY_TABLE, study)
 
 
+def json_text(document: Any) -> str:
+    """The text of each JSON document grasp writes: indent 2, non-ASCII as is, no NaN, final newline."""
+    return json.dumps(document, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
+
+
 def emit_corpus(corpus: Corpus) -> bytes:
     """Serialize to canonical form: fixed key order, ids sorted, 2-space indent."""
     document: dict[str, Any] = {
@@ -633,8 +638,7 @@ def emit_corpus(corpus: Corpus) -> bytes:
     }
     if corpus.policy != AppraisalPolicy():
         document["policy"] = _encode_record(_POLICY_TABLE, corpus.policy)
-    text = json.dumps(document, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
-    return text.encode("utf-8")
+    return json_text(document).encode("utf-8")
 
 
 # --- rater sheets and survey sheets ---

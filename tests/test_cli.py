@@ -818,6 +818,60 @@ class TestReportEncoding:
             assert len(written) == 8
         assert outputs["ascii"] == outputs["default"]
 
+    #: The fixture's first tool, renamed: a non-ASCII id and name.
+    TOOL_ID, TOOL_NAME = "céntor", "Centor Scöre 安全"
+
+    @pytest.fixture
+    def renamed(self, tmp_path):
+        doc = json.loads((FIXTURES / "grasp8.json").read_text())
+        for record in (*doc["tools"], *doc["studies"]):
+            if record.get("tool_id") == "centor":
+                record["tool_id"] = self.TOOL_ID
+        assert doc["tools"][0]["id"] == "centor"
+        doc["tools"][0].update(id=self.TOOL_ID, name=self.TOOL_NAME)
+        path = tmp_path / "renamed.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def _stdout(self, capsys, argv, locale):
+        """Standard output of ``grasp *argv``: in this process, or in a child under ``locale``."""
+        if locale is None:
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, ""), err
+            return out.encode("utf-8")
+        # The argv travels as ASCII-escaped JSON, which no locale decodes differently.
+        src = str(Path(grasp.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c",
+             "import json, sys; from grasp.cli import main; sys.exit(main(json.loads(sys.argv[1])))",
+             json.dumps(argv)],
+            env=dict(os.environ, PYTHONPATH=src, **locale), capture_output=True, timeout=120,
+        )
+        assert (done.returncode, done.stderr) == (0, b""), done.stderr.decode(errors="replace")
+        return done.stdout
+
+    @pytest.mark.parametrize("layout, summary, locale", [
+        *(pytest.param(layout, summary, None, id=f"{layout}{'-summary' * len(summary)}")
+          for layout in ("table4", "table3", "structured") for summary in ((), ("--summary",))),
+        pytest.param("structured", ("--summary",), ASCII_LOCALE, id="structured-summary-ascii"),
+    ])
+    def test_stdout_holds_the_bytes_of_the_report_file(self, capsys, tmp_path, renamed,
+                                                       layout, summary, locale):
+        argv = ["report", renamed, "--tool", self.TOOL_ID, "--layout", layout, *summary]
+        stdout = self._stdout(capsys, argv, locale)
+        code, _, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
+        assert (code, err) == (0, "")
+        suffix = ".json" if layout == "structured" else ".md"
+        assert stdout == (tmp_path / "out" / f"{self.TOOL_ID}{suffix}").read_bytes()
+        assert self.TOOL_NAME.encode("utf-8") in stdout
+
+    def test_structured_stdout_leaves_non_ascii_unescaped(self, capsys, renamed):
+        graded = self._stdout(capsys, ["grade", renamed, "--format", "structured"], None)
+        reported = self._stdout(capsys, ["report", renamed, "--layout", "structured"], None)
+        assert f'"tool_id": "{self.TOOL_ID}"'.encode("utf-8") in graded
+        assert f'"name": "{self.TOOL_NAME}"'.encode("utf-8") in reported
+        assert b"\\u" not in graded + reported
+
 
 class TestNonFiniteNumbers:
     @pytest.mark.parametrize("token", [

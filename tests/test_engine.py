@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grasp.corpus import emit_corpus, parse_corpus
+from grasp.corpus import Corpus, emit_corpus, parse_corpus
 from grasp.engine import (
     AppraisalPolicy,
     MatchingRule,
@@ -47,6 +47,7 @@ from grasp.model import (
     QualityVerdict,
     StrengthVerdict,
     StudyDirection,
+    StudyRecord,
     StudyType,
     external_validation_level,
     ordinal_rank,
@@ -331,16 +332,30 @@ def test_mixed_buckets_keep_the_appraisals_of_their_studies(policy):
     assert mixed > 50
 
 
+def _partial_flags(rng: random.Random, corpus: Corpus) -> Corpus:
+    """Keep a random proper subset of the matching flags of each study without a matching override."""
+    def cut(study: StudyRecord) -> StudyRecord:
+        if study.matching_override is not None or not study.matching_fields:
+            return study
+        kept = rng.sample(sorted(study.matching_fields), rng.randrange(len(study.matching_fields)))
+        return replace(study, matching_fields={k: study.matching_fields[k] for k in kept})
+    return replace(corpus, studies=tuple(cut(s) for s in corpus.studies))
+
+
 def test_assign_grade_agrees_with_the_whole_grade_oracle():
     # Oracle: the README's grading rules restated in tests/oracles.py, under a
     # random policy per corpus; stripped overrides make the policy matter and
-    # some tools fail, which both must do on the same inputs.
+    # some tools fail, which both must do on the same inputs. Every fourth
+    # corpus also drops some matching flags, where strict_all and
+    # ignore_missing part ways.
     rng = random.Random(26)
     outcomes = Counter()
     for round_ in range(300):
         corpus = random_corpus(rng, 4)
         if round_ % 2:
             corpus = strip_overrides(rng, corpus)
+        if round_ % 4 == 3:
+            corpus = _partial_flags(rng, corpus)
         policy = random_policy(rng)
         for tool in corpus.tools:
             studies = corpus.studies_for(tool.id)
