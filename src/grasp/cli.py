@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import os
 import sys
 from dataclasses import fields, replace
@@ -23,9 +22,7 @@ from typing import Iterator, Optional, Sequence, Union
 
 from . import corpus as corpus_io
 from .engine import appraise_study, assign_grade, compute_indices
-from .errors import (
-    AdjudicationRequired, ConsistencyError, GraspError, UnresolvableMatching, UnresolvableQuality,
-)
+from .errors import ConsistencyError, GraspError
 from .model import AppraisalPolicy, GradeResult, TieFallback, ToolProfile
 from .report import ReportFormat, grade_to_obj, render_detailed_report, render_evidence_summary
 
@@ -48,10 +45,6 @@ _POLICY_HELP = {
 
 def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
-
-
-def _read(path: str) -> bytes:
-    return Path(path).read_bytes()
 
 
 def _add_strictness(parser: argparse.ArgumentParser) -> None:
@@ -89,7 +82,7 @@ def _grade_selected(
     args: argparse.Namespace,
 ) -> tuple[corpus_io.Corpus, list[tuple[ToolProfile, GradeResult]]]:
     """Load the corpus, grade every tool (or only ``--tool``), then warn of each review flag."""
-    corpus = corpus_io.parse_corpus(_read(args.corpus), strict=args.strict, on_warning=_warn)
+    corpus = corpus_io.parse_corpus(Path(args.corpus).read_bytes(), strict=args.strict, on_warning=_warn)
     # Precedence: flag > corpus-embedded > default.
     flags = {f.name: type(f.default)(getattr(args, f.name))
              for f in fields(AppraisalPolicy) if getattr(args, f.name)}
@@ -155,7 +148,8 @@ def _write_reports(
     for tool, document in _documents(args, corpus, graded):
         if layout is ReportFormat.STRUCTURED:
             document = corpus_io.json_text(document)
-        files.append((directory / f"{tool.id}{suffix}", document))
+        # A file name is UTF-8 whatever the locale, like the text inside it.
+        files.append((directory / os.fsdecode(f"{tool.id}{suffix}".encode("utf-8")), document))
     directory.mkdir(parents=True, exist_ok=True)
     for path, text in files:
         _write_atomically(path, text)
@@ -205,8 +199,8 @@ def _format_p(p_value: float) -> str:
 def _cmd_raters(args: argparse.Namespace) -> int:
     from . import stats  # imported here, so that grade, report and validate never load it
     name_a, name_b = Path(args.sheet_a).stem, Path(args.sheet_b).stem
-    grades_a = corpus_io.parse_rater_sheet(_read(args.sheet_a))
-    grades_b = corpus_io.parse_rater_sheet(_read(args.sheet_b))
+    grades_a = corpus_io.parse_rater_sheet(Path(args.sheet_a).read_bytes())
+    grades_b = corpus_io.parse_rater_sheet(Path(args.sheet_b).read_bytes())
     if grades_a.keys() != grades_b.keys():
         only_a = sorted(grades_a.keys() - grades_b.keys())
         only_b = sorted(grades_b.keys() - grades_a.keys())
@@ -233,7 +227,7 @@ def _cmd_raters(args: argparse.Namespace) -> int:
 
 def _cmd_survey(args: argparse.Namespace) -> int:
     from . import stats
-    responses = corpus_io.parse_survey_sheet(_read(args.responses))
+    responses = corpus_io.parse_survey_sheet(Path(args.responses).read_bytes())
     summaries = stats.summarize_survey(responses) + [stats.overall_summary(responses)]
     if args.format == "structured":
         print(corpus_io.json_text([{**s._asdict(), "label": s.label.display} for s in summaries]), end="")
@@ -251,7 +245,7 @@ def _grading_faults(data: bytes, corpus: corpus_io.Corpus) -> list[ConsistencyEr
         if study.is_gradable:
             try:
                 appraise_study(study, policy)
-            except (UnresolvableMatching, UnresolvableQuality) as error:
+            except GraspError as error:
                 studies[study.id] = str(error)
     if policy.tie_fallback is TieFallback.FAIL_WITH_REVIEW_FLAG:
         for tool in corpus.tools:
@@ -259,19 +253,13 @@ def _grading_faults(data: bytes, corpus: corpus_io.Corpus) -> list[ConsistencyEr
             if not any(study.id in studies for study in attached):
                 try:
                     assign_grade(tool, attached, policy)
-                except AdjudicationRequired as error:
+                except GraspError as error:
                     tools[tool.id] = str(error)
-    if not (studies or tools):
-        return []
-    # The corpus loaded, so each of its arrays holds each id once.
-    document = json.loads(data)
-    return [ConsistencyError(f"$.{kind}[{i}]", faults[record["id"]])
-            for kind, faults in (("studies", studies), ("tools", tools))
-            for i, record in enumerate(document[kind]) if record["id"] in faults]
+    return corpus_io.faults_at_records(data, {"studies": studies, "tools": tools})
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    data = _read(args.corpus)
+    data = Path(args.corpus).read_bytes()
     corpus, errors, warnings = corpus_io.load_corpus(data, strict=args.strict)
     for message in warnings:
         _warn(message)

@@ -611,6 +611,17 @@ def parse_corpus(
     return corpus
 
 
+def faults_at_records(data: bytes | str, faults: Mapping[str, Mapping[str, str]]) -> list[ConsistencyError]:
+    """Each fault ``faults[kind][id]`` at its record's path ``$.{kind}[i]``: studies, then tools, in
+    input order. ``data`` must load, so each array holds each id once; it is decoded only for a fault."""
+    if not any(faults.values()):
+        return []
+    document = json.loads(data)
+    return [ConsistencyError(f"$.{kind}[{i}]", faults[kind][record["id"]])
+            for kind in ("studies", "tools")
+            for i, record in enumerate(document[kind]) if record["id"] in faults[kind]]
+
+
 # --- canonical serialization ---
 
 

@@ -789,17 +789,20 @@ class TestAtomicReportWrites:
 class TestReportEncoding:
     ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
 
-    @pytest.mark.parametrize("command, flag", [
-        ("grade", "--report"), ("report", "--out"), ("report", "--tool taylor"),
+    @pytest.mark.parametrize("command, flag, non_ascii_id", [
+        pytest.param(command, flag, non_ascii_id, id=f"{command}-{flag}{'-renamed' * non_ascii_id}")
+        for non_ascii_id in (False, True)
+        for command, flag in (("grade", "--report"), ("report", "--out"), ("report", "--tool taylor"))
     ])
-    def test_reports_are_utf8_under_an_ascii_locale(self, tmp_path, command, flag):
-        # Every markdown report holds an em dash, which an ASCII locale cannot encode.
+    def test_reports_are_utf8_under_an_ascii_locale(self, tmp_path, renamed, command, flag, non_ascii_id):
+        # Every markdown report holds an em dash, which an ASCII locale cannot encode,
+        # and the renamed corpus names one report file with a non-ASCII tool id.
         # A directory flag sends the reports to files, any other flag to stdout.
         src = str(Path(grasp.__file__).resolve().parents[1])
         outputs = {}
         for name, locale in (("default", {}), ("ascii", self.ASCII_LOCALE)):
             out_dir = tmp_path / name
-            argv = [command, CORPUS, *flag.split()]
+            argv = [command, renamed if non_ascii_id else CORPUS, *flag.split()]
             if flag in ("--report", "--out"):
                 argv.append(str(out_dir))
             done = subprocess.run(
@@ -816,6 +819,7 @@ class TestReportEncoding:
             assert "—".encode("utf-8") in stdout
         else:
             assert len(written) == 8
+            assert (f"{self.TOOL_ID}.md" in written) is non_ascii_id
         assert outputs["ascii"] == outputs["default"]
 
     #: The fixture's first tool, renamed: a non-ASCII id and name.

@@ -24,6 +24,7 @@ from grasp.corpus import (
     Corpus,
     _enum,
     emit_corpus,
+    faults_at_records,
     load_corpus,
     parse_corpus,
     parse_rater_sheet,
@@ -603,6 +604,26 @@ class TestFieldOrder:
             f"$.studies[{index}].matching_fields.colour: unknown field",
             f"$.studies[{index}].sample_size: must be positive, got 0",
         ]
+
+
+class TestFaultsAtRecords:
+    def test_each_fault_is_listed_at_its_input_index_studies_first(self, corpus8_bytes):
+        doc = _doc(corpus8_bytes)
+        rng = random.Random(30)
+        rng.shuffle(doc["tools"])
+        rng.shuffle(doc["studies"])
+        data = json.dumps(doc).encode()
+        assert load_corpus(data)[1] == []
+        studies = {doc["studies"][i]["id"]: f"study fault {i}" for i in (7, 2)}
+        tools = {doc["tools"][5]["id"]: "tool fault"}
+        faults = faults_at_records(data, {"tools": tools, "studies": studies})
+        assert all(type(fault) is ConsistencyError for fault in faults)
+        assert [str(fault) for fault in faults] == [
+            "$.studies[2]: study fault 2", "$.studies[7]: study fault 7", "$.tools[5]: tool fault",
+        ]
+
+    def test_no_fault_decodes_nothing(self):
+        assert faults_at_records(b"not JSON", {"studies": {}, "tools": {}}) == []
 
 
 @pytest.mark.parametrize("table, model", [
